@@ -15,7 +15,6 @@ __all__ = [
     "Tensor",
     "ComputationRecord",
     "GradientCheckError",
-    "forward_primitive",
     "backward",
     "grad_check",
     "no_recording",
@@ -34,21 +33,6 @@ __all__ = [
     "scalar_scale",
     "one_minus",
 ]
-
-PRIMITIVE_KINDS = (
-    "add",
-    "elementwise_mul",
-    "matmul",
-    "concat",
-    "row_lookup",
-    "sigmoid",
-    "tanh",
-    "softmax_lastdim",
-    "log",
-    "square",
-    "sum",
-    "scalar_scale",
-)
 
 
 class GradientCheckError(ValueError):
@@ -92,10 +76,6 @@ class Tensor:
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def size(self):
-        return self.values.size
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -207,24 +187,6 @@ class ComputationRecord:
         self._tensors.clear()
         self._next_id = 0
         self._backward_done = False
-
-    def replay(self) -> list[np.ndarray]:
-        """Re-execute every node from current leaf values.
-
-        Returns one array per node, in tape order; with unchanged inputs
-        the results are bit-identical to the recorded outputs.
-        """
-        computed: dict[int, np.ndarray] = {}
-        out = []
-        for node in self.nodes:
-            vals = [
-                computed.get(t.node_id, t.values) if t.node_id is not None else t.values
-                for t in node.inputs
-            ]
-            arr = _forward_values(node.kind, vals, node.ctx)
-            computed[node.output_id] = arr
-            out.append(arr)
-        return out
 
 
 def _check_broadcast(kind, a, b):
@@ -377,36 +339,6 @@ def scalar_scale(x: Tensor, factor: float) -> Tensor:
 
 def one_minus(x: Tensor) -> Tensor:
     return add(_wrap(np.ones_like(x.values)), scalar_scale(x, -1.0))
-
-
-def forward_primitive(kind: str, inputs, **kwargs) -> Tensor:
-    """Uniform dispatch over the primitive set; ``kwargs`` carries the
-    non-tensor arguments (concat axis, lookup indices, scale factor)."""
-    inputs = list(inputs)
-    if kind == "concat":
-        return concat(inputs, axis=kwargs.get("axis", 0))
-    if kind == "row_lookup":
-        return row_lookup(inputs[0], kwargs["indices"])
-    if kind == "scalar_scale":
-        return scalar_scale(inputs[0], kwargs["factor"])
-    binary = {"add": add, "elementwise_mul": elementwise_mul, "matmul": matmul}
-    unary = {
-        "sigmoid": sigmoid,
-        "tanh": tanh,
-        "softmax_lastdim": softmax_lastdim,
-        "log": log,
-        "square": square,
-        "sum": reduce_sum,
-    }
-    if kind in binary:
-        if len(inputs) != 2:
-            raise ValueError(f"{kind}: expected 2 inputs, got {len(inputs)}")
-        return binary[kind](*inputs)
-    if kind in unary:
-        if len(inputs) != 1:
-            raise ValueError(f"{kind}: expected 1 input, got {len(inputs)}")
-        return unary[kind](inputs[0])
-    raise ValueError(f"unknown primitive kind: {kind!r}")
 
 
 def _unbroadcast(grad, shape):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-__all__ = ["START", "END", "BigramLM", "fit", "sentence_log_prob", "next_word_distribution"]
+__all__ = ["START", "END", "BigramLM"]
 
 START = "<s>"
 END = "</s>"
@@ -37,8 +37,6 @@ class BigramLM:
     def fit(cls, corpus: list[list[str]], alpha: float = 1.0) -> "BigramLM":
         if not corpus:
             raise ValueError("empty corpus")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
         context_counts: Counter = Counter()
         bigram_counts: dict[str, Counter] = {}
         vocab = {END}
@@ -80,14 +78,3 @@ class BigramLM:
     def from_dict(cls, d: dict) -> "BigramLM":
         return cls(d["context_counts"], d["bigram_counts"], d["vocab"], d["alpha"])
 
-
-def fit(corpus: list[list[str]], alpha: float = 1.0) -> BigramLM:
-    return BigramLM.fit(corpus, alpha)
-
-
-def sentence_log_prob(tokens: list[str], lm: BigramLM) -> float:
-    return lm.sentence_log_prob(tokens)
-
-
-def next_word_distribution(context: str, lm: BigramLM) -> dict[str, float]:
-    return lm.next_word_distribution(context)

@@ -16,7 +16,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from . import autodiff, metrics, qa, qg, trainer
+from . import metrics, qa, qg, trainer
 from .bigram import BigramLM
 from .text import DataError, build_vocab, cooccurrence_count, load_tsv, make_batches, tokenize
 
@@ -83,21 +83,15 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def _subset(self, cls):
+        """An instance of ``cls`` holding this config's values of its fields."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
+
     def dims(self) -> trainer.ModelDims:
-        return trainer.ModelDims(
-            embedding_dim=self.embedding_dim, qa_hidden=self.qa_hidden,
-            qg_hidden=self.qg_hidden, attention_dim=self.attention_dim,
-            cooc_vocab=self.cooc_vocab, cooc_dim=self.cooc_dim,
-        )
+        return self._subset(trainer.ModelDims)
 
     def trainer_config(self) -> trainer.TrainerConfig:
-        return trainer.TrainerConfig(
-            lambda_q=self.lambda_q, lambda_a=self.lambda_a,
-            batch_size=self.batch_size, pool_batches=self.pool_batches,
-            learning_rate=self.learning_rate, adadelta_rho=self.adadelta_rho,
-            adadelta_eps=self.adadelta_eps, max_epochs=self.max_epochs,
-            seed=self.seed,
-        )
+        return self._subset(trainer.TrainerConfig)
 
 
 def load_config(path) -> RunConfig:
@@ -204,7 +198,7 @@ def run_training(cfg: RunConfig) -> TrainResult:
                                 vocab_q, vocab_a, config_dict)
         return path
 
-    with open(log_path, "a", encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(1, cfg.max_epochs + 1):
             seed = epoch_seeds.randrange(2 ** 31)
             sums = [0.0, 0.0, 0.0]
@@ -333,11 +327,7 @@ def cmd_rank(args) -> int:
         q_ids = ckpt.vocab_q.encode(group[0].question_tokens)
         candidates = [ckpt.vocab_a.encode(p.answer_tokens) for p in group]
         coocs = [cooccurrence_count(p.question_tokens, p.answer_tokens) for p in group]
-        with autodiff.no_recording():
-            scores = [
-                qa.qa_score(q_ids, c, ckpt.qa_params, cc).item()
-                for c, cc in zip(candidates, coocs)
-            ]
+        scores = qa.candidate_scores(q_ids, candidates, ckpt.qa_params, coocs)
         for rank, idx in enumerate(metrics.ranked_order(scores), start=1):
             answer = " ".join(group[idx].answer_tokens)
             print(f"{qid}\t{rank}\t{scores[idx]:.6f}\t{answer}")

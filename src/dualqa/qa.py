@@ -22,16 +22,13 @@ __all__ = [
     "gru_step",
     "QAParams",
     "encode_bigru",
-    "qa_logits",
     "qa_score",
-    "qa_nll_loss",
     "qa_logits_from_vectors",
     "qa_score_from_vectors",
     "qa_nll_loss_from_vectors",
     "conditional_from_scores",
-    "qa_conditional_prob",
+    "candidate_scores",
     "rank_candidates",
-    "ranking_hinge_loss",
 ]
 
 
@@ -50,8 +47,7 @@ class GRUCellParams:
     """Gate weights for one GRU direction.
 
     W_* act on the input embedding (hidden x input), U_* on the previous
-    hidden state (hidden x hidden).  Biases are optional and off by
-    default; the update equations omit them.
+    hidden state (hidden x hidden).  The update equations have no biases.
     """
 
     W_z: ad.Tensor
@@ -60,56 +56,41 @@ class GRUCellParams:
     U_r: ad.Tensor
     W_h: ad.Tensor
     U_h: ad.Tensor
-    b_z: ad.Tensor | None = None
-    b_r: ad.Tensor | None = None
-    b_h: ad.Tensor | None = None
 
     @property
     def hidden_dim(self) -> int:
         return self.W_z.shape[0]
 
     @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-               bias: bool = False) -> "GRUCellParams":
+    def create(cls, input_dim: int, hidden_dim: int,
+               rng: np.random.Generator) -> "GRUCellParams":
         def mat(rows, cols):
             return glorot_uniform(rng, (rows, cols))
 
-        cell = cls(
+        return cls(
             W_z=mat(hidden_dim, input_dim), U_z=mat(hidden_dim, hidden_dim),
             W_r=mat(hidden_dim, input_dim), U_r=mat(hidden_dim, hidden_dim),
             W_h=mat(hidden_dim, input_dim), U_h=mat(hidden_dim, hidden_dim),
         )
-        if bias:
-            cell.b_z = ad.zeros(hidden_dim)
-            cell.b_r = ad.zeros(hidden_dim)
-            cell.b_h = ad.zeros(hidden_dim)
-        return cell
 
     def named(self, prefix: str):
-        items = [
+        return [
             (f"{prefix}.W_z", self.W_z), (f"{prefix}.U_z", self.U_z),
             (f"{prefix}.W_r", self.W_r), (f"{prefix}.U_r", self.U_r),
             (f"{prefix}.W_h", self.W_h), (f"{prefix}.U_h", self.U_h),
         ]
-        for name, b in (("b_z", self.b_z), ("b_r", self.b_r), ("b_h", self.b_h)):
-            if b is not None:
-                items.append((f"{prefix}.{name}", b))
-        return items
 
 
-def _gate_preact(W, x, U, h, b):
-    pre = ad.add(ad.matmul(W, x), ad.matmul(U, h))
-    if b is not None:
-        pre = ad.add(pre, b)
-    return pre
+def _gate_preact(W, x, U, h):
+    return ad.add(ad.matmul(W, x), ad.matmul(U, h))
 
 
 def gru_step(cell: GRUCellParams, x: ad.Tensor, h_prev: ad.Tensor) -> ad.Tensor:
     """One GRU update: z and r gate the candidate state against h_prev."""
-    z = ad.sigmoid(_gate_preact(cell.W_z, x, cell.U_z, h_prev, cell.b_z))
-    r = ad.sigmoid(_gate_preact(cell.W_r, x, cell.U_r, h_prev, cell.b_r))
+    z = ad.sigmoid(_gate_preact(cell.W_z, x, cell.U_z, h_prev))
+    r = ad.sigmoid(_gate_preact(cell.W_r, x, cell.U_r, h_prev))
     candidate = ad.tanh(
-        _gate_preact(cell.W_h, x, cell.U_h, ad.elementwise_mul(r, h_prev), cell.b_h)
+        _gate_preact(cell.W_h, x, cell.U_h, ad.elementwise_mul(r, h_prev))
     )
     return ad.add(
         ad.elementwise_mul(z, candidate),
@@ -145,16 +126,10 @@ class QAParams:
         return self.output_weights.shape[1]
 
     @classmethod
-    def create(cls, q_vocab_size: int, a_vocab_size: int, embedding_dim: int = 300,
-               hidden_dim: int = 100, cooc_vocab: int = 10, cooc_dim: int = 10,
-               rng: np.random.Generator | None = None,
-               question_embeddings: ad.Tensor | None = None,
-               answer_embeddings: ad.Tensor | None = None) -> "QAParams":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        if question_embeddings is None:
-            question_embeddings = glorot_uniform(rng, (q_vocab_size, embedding_dim))
-        if answer_embeddings is None:
-            answer_embeddings = glorot_uniform(rng, (a_vocab_size, embedding_dim))
+    def create(cls, question_embeddings: ad.Tensor, answer_embeddings: ad.Tensor,
+               hidden_dim: int, cooc_vocab: int, cooc_dim: int,
+               rng: np.random.Generator) -> "QAParams":
+        embedding_dim = question_embeddings.shape[1]
         feature_dim = 6 * hidden_dim + cooc_dim
         return cls(
             question_embeddings=question_embeddings,
@@ -210,12 +185,6 @@ def encode_bigru(ids: list[int], side: str, params: QAParams) -> ad.Tensor:
     return ad.concat([h_fwd, h])
 
 
-def _id_cooccurrence(q_ids, a_ids, clip: int) -> int:
-    # Fallback when no token-level count is supplied; exact only when both
-    # sides share one vocabulary.
-    return min(len(set(q_ids) & set(a_ids)), clip)
-
-
 def qa_logits_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, cooc_count: int,
                            params: QAParams) -> ad.Tensor:
     """Two-class pre-activations [negative, positive] from precomputed
@@ -252,87 +221,31 @@ def conditional_from_scores(scores: list[ad.Tensor]) -> ad.Tensor:
     return ad.row_lookup(probs, 0)
 
 
-def qa_logits(q_ids: list[int], a_ids: list[int], params: QAParams,
-              cooc_count: int | None = None) -> ad.Tensor:
-    """Two-class pre-activations [negative, positive] over the pair
-    feature vector."""
+def qa_score(q_ids: list[int], a_ids: list[int], params: QAParams,
+             cooc_count: int) -> ad.Tensor:
+    """Ranking scalar in (-1, 1) of one pair encoded from its ids, as a
+    size-1 tensor."""
     v_q = encode_bigru(q_ids, "question", params)
     v_a = encode_bigru(a_ids, "answer", params)
-    if cooc_count is None:
-        cooc_count = _id_cooccurrence(q_ids, a_ids, params.cooc_table.shape[0] - 1)
-    return qa_logits_from_vectors(v_q, v_a, cooc_count, params)
+    return qa_score_from_vectors(v_q, v_a, cooc_count, params)
 
 
-def qa_score(q_ids: list[int], a_ids: list[int], params: QAParams,
-             cooc_count: int | None = None) -> ad.Tensor:
-    """Ranking scalar in (-1, 1): tanh of the positive-class
-    pre-activation.  Returned as a size-1 tensor."""
-    logits = qa_logits(q_ids, a_ids, params, cooc_count)
-    return ad.tanh(ad.row_lookup(logits, [1]))
-
-
-def qa_nll_loss(q_ids: list[int], a_ids: list[int], label: int, params: QAParams,
-                cooc_count: int | None = None) -> ad.Tensor:
-    """-log softmax(logits)[label] for label in {0, 1}."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    logits = qa_logits(q_ids, a_ids, params, cooc_count)
-    probs = ad.softmax_lastdim(logits)
-    return ad.scalar_scale(ad.log(ad.row_lookup(probs, int(label))), -1.0)
-
-
-def qa_conditional_prob(q_ids: list[int], a_ids: list[int],
-                        contrast_answers: list[list[int]], params: QAParams,
-                        cooc_count: int | None = None,
-                        contrast_cooc: list[int] | None = None) -> ad.Tensor:
-    """P(a | q) derived from the scorer over {a} and a contrast set:
-    exp(score(a)) normalized against the contrast answers' scores.
-
-    Contrast entries identical to ``a_ids`` are dropped; an empty
-    contrast set is an error.
-    """
-    if not contrast_answers:
-        raise ValueError("conditional needs contrast set")
-    if contrast_cooc is None:
-        contrast_cooc = [None] * len(contrast_answers)
-    kept = [
-        (ids, cc)
-        for ids, cc in zip(contrast_answers, contrast_cooc)
-        if list(ids) != list(a_ids)
-    ]
-    if not kept:
-        raise ValueError("conditional needs contrast set")
-    scores = [qa_score(q_ids, a_ids, params, cooc_count)]
-    scores += [qa_score(q_ids, ids, params, cc) for ids, cc in kept]
-    return conditional_from_scores(scores)
+def candidate_scores(q_ids: list[int], candidates: list[list[int]], params: QAParams,
+                     cooc_counts: list[int]) -> list[float]:
+    """Inference-time score of every candidate answer for one question;
+    the question is encoded once."""
+    if not candidates:
+        raise ValueError("candidate_scores: empty candidate list")
+    with ad.no_recording():
+        v_q = encode_bigru(q_ids, "question", params)
+        return [
+            qa_score_from_vectors(v_q, encode_bigru(a_ids, "answer", params), cc, params).item()
+            for a_ids, cc in zip(candidates, cooc_counts)
+        ]
 
 
 def rank_candidates(q_ids: list[int], candidates: list[list[int]], params: QAParams,
-                    cooc_counts: list[int] | None = None) -> list[int]:
+                    cooc_counts: list[int]) -> list[int]:
     """Candidate indices in score order, best first; ties keep the lower
     original index."""
-    if not candidates:
-        raise ValueError("rank_candidates: empty candidate list")
-    if cooc_counts is None:
-        cooc_counts = [None] * len(candidates)
-    with ad.no_recording():
-        scores = [
-            qa_score(q_ids, a_ids, params, cc).item()
-            for a_ids, cc in zip(candidates, cooc_counts)
-        ]
-    return ranked_order(scores)
-
-
-def ranking_hinge_loss(q_ids: list[int], correct_a_ids: list[int],
-                       sampled_a_ids: list[int], params: QAParams,
-                       correct_cooc: int | None = None,
-                       sampled_cooc: int | None = None) -> float:
-    """max(0, 1 - score(correct) + score(sampled)).
-
-    Reference only: the training objective is the NLL loss, which
-    outperformed this margin formulation.
-    """
-    with ad.no_recording():
-        pos = qa_score(q_ids, correct_a_ids, params, correct_cooc).item()
-        neg = qa_score(q_ids, sampled_a_ids, params, sampled_cooc).item()
-    return max(0.0, 1.0 - pos + neg)
+    return ranked_order(candidate_scores(q_ids, candidates, params, cooc_counts))

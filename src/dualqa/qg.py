@@ -25,7 +25,6 @@ __all__ = [
     "attention_step",
     "decode_step",
     "sequence_log_prob",
-    "qg_nll_loss",
     "greedy_decode",
     "beam_search",
     "unk_replace",
@@ -57,24 +56,14 @@ class QGParams:
         return self.encoder_fwd.hidden_dim
 
     @property
-    def decoder_dim(self) -> int:
-        return self.decoder.hidden_dim
-
-    @property
     def question_vocab_size(self) -> int:
         return self.output_projection.shape[0]
 
     @classmethod
-    def create(cls, q_vocab_size: int, a_vocab_size: int, embedding_dim: int = 300,
-               encoder_hidden: int = 512, attention_dim: int = 30,
-               rng: np.random.Generator | None = None,
-               question_embeddings: ad.Tensor | None = None,
-               answer_embeddings: ad.Tensor | None = None) -> "QGParams":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        if question_embeddings is None:
-            question_embeddings = glorot_uniform(rng, (q_vocab_size, embedding_dim))
-        if answer_embeddings is None:
-            answer_embeddings = glorot_uniform(rng, (a_vocab_size, embedding_dim))
+    def create(cls, question_embeddings: ad.Tensor, answer_embeddings: ad.Tensor,
+               encoder_hidden: int, attention_dim: int,
+               rng: np.random.Generator) -> "QGParams":
+        q_vocab_size, embedding_dim = question_embeddings.shape
         enc_out = 2 * encoder_hidden
         return cls(
             question_embeddings=question_embeddings,
@@ -149,24 +138,19 @@ def attention_step(s_t: ad.Tensor, H: ad.Tensor, history: ad.Tensor, params: QGP
     return alpha, context
 
 
-def _decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor,
-                 history: ad.Tensor, params: QGParams):
-    embedded = ad.row_lookup(params.question_embeddings, int(prev_token_id))
-    s_t = gru_step(params.decoder, embedded, state)
-    alpha, context = attention_step(s_t, H, history, params)
-    logits = ad.matmul(params.output_projection, ad.concat([s_t, context]))
-    return ad.softmax_lastdim(logits), s_t, alpha, context
-
-
 def decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor,
                 history: ad.Tensor, params: QGParams):
     """Advance the decoder one step.
 
     Returns (distribution over the question vocabulary, new state,
-    attention weights).
+    attention weights, context vector); the context is the next step's
+    attention history.
     """
-    dist, s_t, alpha, _ = _decode_step(prev_token_id, state, H, history, params)
-    return dist, s_t, alpha
+    embedded = ad.row_lookup(params.question_embeddings, int(prev_token_id))
+    s_t = gru_step(params.decoder, embedded, state)
+    alpha, context = attention_step(s_t, H, history, params)
+    logits = ad.matmul(params.output_projection, ad.concat([s_t, context]))
+    return ad.softmax_lastdim(logits), s_t, alpha, context
 
 
 def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
@@ -178,17 +162,12 @@ def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> a
     prev = SOS_ID
     total = None
     for target in list(q_ids) + [EOS_ID]:
-        dist, state, _, context = _decode_step(prev, state, H, history, params)
+        dist, state, _, context = decode_step(prev, state, H, history, params)
         step = ad.log(ad.row_lookup(dist, int(target)))
         total = step if total is None else ad.add(total, step)
         history = context
         prev = int(target)
     return total
-
-
-def qg_nll_loss(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
-    """-log P(question | answer); batch losses are averaged by the trainer."""
-    return ad.scalar_scale(sequence_log_prob(q_ids, a_ids, params), -1.0)
 
 
 @dataclass
@@ -227,7 +206,7 @@ def greedy_decode(a_ids: list[int], max_len: int, params: QGParams) -> BeamHypot
         rows: list[np.ndarray] = []
         log_prob = 0.0
         for _ in range(max_len):
-            dist, state, alpha, context = _decode_step(prev, state, H, history, params)
+            dist, state, alpha, context = decode_step(prev, state, H, history, params)
             token = int(np.argmax(dist.values))
             tokens.append(token)
             rows.append(alpha.values.copy())
@@ -259,7 +238,7 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
             pool = list(finished)
             for beam in live:
                 prev = beam.tokens[-1] if beam.tokens else SOS_ID
-                dist, state, alpha, context = _decode_step(prev, beam.state, H,
+                dist, state, alpha, context = decode_step(prev, beam.state, H,
                                                            beam.history, params)
                 log_probs = np.log(dist.values)
                 # Each live beam contributes at most beam_size extensions.

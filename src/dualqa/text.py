@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PAD_ID",
@@ -20,7 +20,6 @@ __all__ = [
     "TrainingBatch",
     "tokenize",
     "build_vocab",
-    "encode",
     "cooccurrence_count",
     "load_tsv",
     "make_batches",
@@ -52,42 +51,23 @@ class Vocabulary:
 
     token_to_id: dict[str, int]
     id_to_token: list[str]
-    max_size: int
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def encode(self, tokens: list[str]) -> list[int]:
         if not tokens:
             raise DataError("empty sequence")
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
     @classmethod
-    def from_tokens(cls, tokens: list[str], max_size: int) -> "Vocabulary":
+    def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
         id_to_token = list(RESERVED_TOKENS) + list(tokens)
         token_to_id = {t: i for i, t in enumerate(id_to_token)}
         if len(token_to_id) != len(id_to_token):
             raise DataError("vocabulary contains duplicate tokens")
-        return cls(token_to_id, id_to_token, max_size)
-
-    def save(self, path):
-        """One non-reserved token per line; line number = id - 4."""
-        with open(path, "w", encoding="utf-8") as f:
-            for token in self.id_to_token[len(RESERVED_TOKENS):]:
-                f.write(token + "\n")
-
-    @classmethod
-    def load(cls, path, max_size: int | None = None) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        return cls.from_tokens(tokens, max_size if max_size is not None else len(tokens))
+        return cls(token_to_id, id_to_token)
 
 
 def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
@@ -102,11 +82,7 @@ def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
         counts.update(tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [token for token, _ in ranked[:max_size]]
-    return Vocabulary.from_tokens(kept, max_size)
-
-
-def encode(tokens: list[str], vocab: Vocabulary) -> list[int]:
-    return vocab.encode(tokens)
+    return Vocabulary.from_tokens(kept)
 
 
 def cooccurrence_count(question_tokens: list[str], answer_tokens: list[str]) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import qa as qa_mod
 from . import qg as qg_mod
 from .bigram import BigramLM
-from .text import QAPair, TrainingBatch, Vocabulary, cooccurrence_count
+from .text import RESERVED_TOKENS, QAPair, TrainingBatch, Vocabulary, cooccurrence_count
 
 __all__ = [
     "TrainerConfig",
@@ -35,6 +35,7 @@ __all__ = [
     "named_parameters",
     "adadelta_update",
     "squared_log_gap",
+    "contrast_indices",
     "dual_loss",
     "DualTrainer",
     "save_checkpoint",
@@ -60,19 +61,13 @@ class TrainerConfig:
 
     lambda_q: float = 0.1
     lambda_a: float = 0.1
-    batch_size: int = 64
-    pool_batches: int = 10
     learning_rate: float = 2.0
     adadelta_rho: float = 0.95
     adadelta_eps: float = 1e-6
-    max_epochs: int = 30
-    seed: int = 13
 
     def __post_init__(self):
         if self.lambda_q < 0 or self.lambda_a < 0:
             raise ValueError("lambda_q and lambda_a must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -84,9 +79,6 @@ class ModelDims:
     cooc_vocab: int = 10
     cooc_dim: int = 10
 
-    FIELDS = ("embedding_dim", "qa_hidden", "qg_hidden", "attention_dim",
-              "cooc_vocab", "cooc_dim")
-
 
 def init_models(q_vocab_size: int, a_vocab_size: int, dims: ModelDims, seed: int):
     """Build both models around shared embedding matrices."""
@@ -94,16 +86,12 @@ def init_models(q_vocab_size: int, a_vocab_size: int, dims: ModelDims, seed: int
     q_emb = qa_mod.glorot_uniform(rng, (q_vocab_size, dims.embedding_dim))
     a_emb = qa_mod.glorot_uniform(rng, (a_vocab_size, dims.embedding_dim))
     qa_params = qa_mod.QAParams.create(
-        q_vocab_size, a_vocab_size,
-        embedding_dim=dims.embedding_dim, hidden_dim=dims.qa_hidden,
-        cooc_vocab=dims.cooc_vocab, cooc_dim=dims.cooc_dim,
-        rng=rng, question_embeddings=q_emb, answer_embeddings=a_emb,
+        q_emb, a_emb, hidden_dim=dims.qa_hidden, cooc_vocab=dims.cooc_vocab,
+        cooc_dim=dims.cooc_dim, rng=rng,
     )
     qg_params = qg_mod.QGParams.create(
-        q_vocab_size, a_vocab_size,
-        embedding_dim=dims.embedding_dim, encoder_hidden=dims.qg_hidden,
-        attention_dim=dims.attention_dim,
-        rng=rng, question_embeddings=q_emb, answer_embeddings=a_emb,
+        q_emb, a_emb, encoder_hidden=dims.qg_hidden, attention_dim=dims.attention_dim,
+        rng=rng,
     )
     return qa_params, qg_params
 
@@ -172,29 +160,28 @@ def squared_log_gap(log_p_answer, log_q_given_a, log_p_question, log_a_given_q) 
     return ad.square(ad.add(lhs, ad.scalar_scale(rhs, -1.0)))
 
 
-def dual_loss(q_tokens: list[str], a_tokens: list[str], q_ids: list[int],
-              a_ids: list[int], qa_params, qg_params, lm_q: BigramLM,
-              lm_a: BigramLM, contrast_answers: list[list[int]],
-              cooc_count: int | None = None,
-              contrast_cooc: list[int] | None = None,
-              seq_lp: ad.Tensor | None = None) -> ad.Tensor:
+def contrast_indices(gold_ids: list[int], answers: list[list[int]]) -> list[int]:
+    """Indices of the answers that contrast with the gold answer in the
+    derived P(a|q): every answer whose ids differ from the gold's.  An
+    empty contrast set is an error."""
+    kept = [i for i, ids in enumerate(answers) if ids != gold_ids]
+    if not kept:
+        raise ValueError("conditional needs a contrast set")
+    return kept
+
+
+def dual_loss(log_p_answer: float, seq_lp: ad.Tensor, log_p_question: float,
+              scores: list[ad.Tensor]) -> ad.Tensor:
     """Duality regularizer for one positive pair.
 
-    The language-model marginals are constants; gradients flow through
-    the generator's sequence log-probability and the selection model's
-    derived conditional.
+    ``log_p_answer`` and ``log_p_question`` are the bigram marginals
+    (constants), ``seq_lp`` the generator's log P(q|a), and ``scores`` the
+    selection scores of the gold answer first, then of its contrast set;
+    log P(a|q) is the log of the gold score's softmax share.  Gradients
+    flow through ``seq_lp`` and ``scores``.
     """
-    if seq_lp is None:
-        seq_lp = qg_mod.sequence_log_prob(q_ids, a_ids, qg_params)
-    conditional = qa_mod.qa_conditional_prob(
-        q_ids, a_ids, contrast_answers, qa_params, cooc_count, contrast_cooc
-    )
-    return squared_log_gap(
-        lm_a.sentence_log_prob(a_tokens),
-        seq_lp,
-        lm_q.sentence_log_prob(q_tokens),
-        ad.log(conditional),
-    )
+    conditional = qa_mod.conditional_from_scores(scores)
+    return squared_log_gap(log_p_answer, seq_lp, log_p_question, ad.log(conditional))
 
 
 def _accumulate(total, term):
@@ -254,26 +241,21 @@ class DualTrainer:
         record = ad.ComputationRecord()
         dual_lambda_active = use_dual and (self.config.lambda_a > 0 or self.config.lambda_q > 0)
         with record:
-            q_cache: dict[tuple, ad.Tensor] = {}
-            a_cache: dict[tuple, ad.Tensor] = {}
+            cache: dict[tuple, ad.Tensor] = {}
 
-            def enc_question(ids):
-                key = tuple(ids)
-                if key not in q_cache:
-                    q_cache[key] = qa_mod.encode_bigru(ids, "question", self.qa_params)
-                return q_cache[key]
-
-            def enc_answer(ids):
-                key = tuple(ids)
-                if key not in a_cache:
-                    a_cache[key] = qa_mod.encode_bigru(ids, "answer", self.qa_params)
-                return a_cache[key]
+            def enc(ids, side):
+                key = (side, tuple(ids))
+                if key not in cache:
+                    cache[key] = qa_mod.encode_bigru(ids, side, self.qa_params)
+                return cache[key]
 
             encoded = []
             for pos, neg in zip(batch.positives, batch.negatives):
                 qp_ids, ap_ids = self._encode(pos)
                 qn_ids, an_ids = self._encode(neg)
                 encoded.append((pos, neg, qp_ids, ap_ids, qn_ids, an_ids))
+            # Every positive's contrast set comes from the batch's negative answers.
+            contrast_ids = [an_ids for *_, an_ids in encoded]
 
             qa_sum = None
             qg_sum = None
@@ -281,13 +263,13 @@ class DualTrainer:
             for pos, neg, qp_ids, ap_ids, qn_ids, an_ids in encoded:
                 cooc_pos = cooccurrence_count(pos.question_tokens, pos.answer_tokens)
                 cooc_neg = cooccurrence_count(neg.question_tokens, neg.answer_tokens)
-                v_q_pos = enc_question(qp_ids)
-                v_a_pos = enc_answer(ap_ids)
+                v_q_pos = enc(qp_ids, "question")
+                v_a_pos = enc(ap_ids, "answer")
                 qa_sum = _accumulate(qa_sum, ad.add(
                     qa_mod.qa_nll_loss_from_vectors(
                         v_q_pos, v_a_pos, 1, cooc_pos, self.qa_params),
                     qa_mod.qa_nll_loss_from_vectors(
-                        enc_question(qn_ids), enc_answer(an_ids), 0, cooc_neg,
+                        enc(qn_ids, "question"), enc(an_ids, "answer"), 0, cooc_neg,
                         self.qa_params),
                 ))
                 seq_lp = qg_mod.sequence_log_prob(qp_ids, ap_ids, self.qg_params)
@@ -295,22 +277,18 @@ class DualTrainer:
                 if dual_lambda_active:
                     scores = [qa_mod.qa_score_from_vectors(
                         v_q_pos, v_a_pos, cooc_pos, self.qa_params)]
-                    for _, other, _, _, _, other_an_ids in encoded:
-                        if other_an_ids == ap_ids:
-                            continue
+                    for j in contrast_indices(ap_ids, contrast_ids):
                         scores.append(qa_mod.qa_score_from_vectors(
-                            v_q_pos, enc_answer(other_an_ids),
-                            cooccurrence_count(pos.question_tokens, other.answer_tokens),
+                            v_q_pos, enc(contrast_ids[j], "answer"),
+                            cooccurrence_count(pos.question_tokens,
+                                               batch.negatives[j].answer_tokens),
                             self.qa_params,
                         ))
-                    if len(scores) < 2:
-                        raise ValueError("conditional needs contrast set")
-                    conditional = qa_mod.conditional_from_scores(scores)
-                    dual_sum = _accumulate(dual_sum, squared_log_gap(
+                    dual_sum = _accumulate(dual_sum, dual_loss(
                         self.lm_a.sentence_log_prob(pos.answer_tokens),
                         seq_lp,
                         self.lm_q.sentence_log_prob(pos.question_tokens),
-                        ad.log(conditional),
+                        scores,
                     ))
 
             m = batch.size
@@ -350,6 +328,9 @@ class DualTrainer:
             else:
                 grads[name] = grad
         record.zero_grads()
+        # Dropping the nodes breaks the tensor -> record -> node cycles, so
+        # reference counting, not the cyclic collector, frees the tape.
+        record.clear()
 
         self._apply_updates(grads)
         self.global_step += 1
@@ -436,7 +417,7 @@ class _Reader:
 
 def _dims_from_config(config: dict) -> ModelDims:
     try:
-        return ModelDims(**{key: int(config[key]) for key in ModelDims.FIELDS})
+        return ModelDims(**{f.name: int(config[f.name]) for f in fields(ModelDims)})
     except KeyError as e:
         raise CheckpointError(f"checkpoint config is missing dimension {e}") from None
 
@@ -471,10 +452,14 @@ def load_checkpoint(path) -> Checkpoint:
     vocab_a_tokens = blob()
     lms = blob()
     config = blob()
+    if reader.pos != len(reader.data):
+        raise CheckpointError(
+            f"checkpoint has {len(reader.data) - reader.pos} trailing bytes after its config"
+        )
 
     dims = _dims_from_config(config)
-    vocab_q = Vocabulary.from_tokens(vocab_q_tokens[4:], int(config.get("vocab_size", len(vocab_q_tokens))))
-    vocab_a = Vocabulary.from_tokens(vocab_a_tokens[4:], int(config.get("vocab_size", len(vocab_a_tokens))))
+    vocab_q = Vocabulary.from_tokens(vocab_q_tokens[len(RESERVED_TOKENS):])
+    vocab_a = Vocabulary.from_tokens(vocab_a_tokens[len(RESERVED_TOKENS):])
     qa_params, qg_params = init_models(vocab_q.size, vocab_a.size, dims, seed=0)
     expected = named_parameters(qa_params, qg_params)
     if len(expected) != len(records):

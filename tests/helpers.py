@@ -58,16 +58,12 @@ def small_corpus(tmp_path):
     return text.load_tsv(path)
 
 
-def make_small_trainer(pairs, lambda_q=0.1, lambda_a=0.1, seed=11, batch_size=4,
-                       dims=TINY_DIMS):
+def make_small_trainer(pairs, lambda_q=0.1, lambda_a=0.1, seed=11, dims=TINY_DIMS):
     positives = [p for p in pairs if p.label == 1]
     vocab_q = text.build_vocab([p.question_tokens for p in pairs], 100)
     vocab_a = text.build_vocab([p.answer_tokens for p in pairs], 100)
     lm_q = bigram.BigramLM.fit([p.question_tokens for p in positives])
     lm_a = bigram.BigramLM.fit([p.answer_tokens for p in positives])
     qa_params, qg_params = trainer.init_models(vocab_q.size, vocab_a.size, dims, seed=seed)
-    config = trainer.TrainerConfig(
-        lambda_q=lambda_q, lambda_a=lambda_a, batch_size=batch_size,
-        pool_batches=2, seed=seed,
-    )
+    config = trainer.TrainerConfig(lambda_q=lambda_q, lambda_a=lambda_a)
     return trainer.DualTrainer(qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a, config)

@@ -36,11 +36,15 @@ def test_criterion_1_gradient_correctness():
     lm_a = bigram.BigramLM.fit([a_tokens, ["y", "is", "z"]])
     contrast = [[6, 11], [12, 13, 4]]
 
+    def encodings():
+        return (qa.encode_bigru(q_ids, "question", qa_params),
+                qa.encode_bigru(a_ids, "answer", qa_params))
+
+    def qa_nll(_):
+        return qa.qa_nll_loss_from_vectors(*encodings(), 1, 2, qa_params)
+
     qa_tensors = [t for _, t in qa_params.named_tensors()]
-    err_a = ad.grad_check(
-        lambda _: qa.qa_nll_loss(q_ids, a_ids, 1, qa_params, 2),
-        qa_tensors, epsilon=1e-5,
-    )
+    err_a = ad.grad_check(qa_nll, qa_tensors, epsilon=1e-5)
     assert err_a < 1e-4
 
     qg_tensors = [t for _, t in qg_params.named_tensors()]
@@ -48,16 +52,24 @@ def test_criterion_1_gradient_correctness():
     # 1e-5 step sits below the float64 rounding floor for the smallest
     # gradient entries; the GRU-cell check in test_autodiff keeps 1e-5.
     err_b = ad.grad_check(
-        lambda _: qg.qg_nll_loss(q_ids, a_ids, qg_params),
+        lambda _: ad.scalar_scale(qg.sequence_log_prob(q_ids, a_ids, qg_params), -1.0),
         qg_tensors, epsilon=1e-4,
     )
     assert err_b < 1e-4
 
     def combined(_):
-        loss = qa.qa_nll_loss(q_ids, a_ids, 1, qa_params, 2)
+        # The inputs the trainer builds for one positive: shared encodings,
+        # the gold score first, then the contrast scores.
+        v_q, v_a = encodings()
+        loss = qa.qa_nll_loss_from_vectors(v_q, v_a, 1, 2, qa_params)
+        scores = [qa.qa_score_from_vectors(v_q, v_a, 2, qa_params)]
+        scores += [
+            qa.qa_score_from_vectors(v_q, qa.encode_bigru(ids, "answer", qa_params), cc, qa_params)
+            for ids, cc in zip(contrast, [1, 0])
+        ]
         dual = trainer.dual_loss(
-            q_tokens, a_tokens, q_ids, a_ids, qa_params, qg_params,
-            lm_q, lm_a, contrast, 2, [1, 0],
+            lm_a.sentence_log_prob(a_tokens), qg.sequence_log_prob(q_ids, a_ids, qg_params),
+            lm_q.sentence_log_prob(q_tokens), scores,
         )
         return ad.add(loss, ad.scalar_scale(dual, 0.1))
 

@@ -142,6 +142,15 @@ class TestTrainCommand:
             record = json.loads(line)
             assert set(record) == {"step", "qa_loss", "qg_loss", "dual_loss"}
 
+    def test_rerun_rewrites_step_log(self, tmp_path):
+        write_toy(tmp_path)
+        cfg = RunConfig.from_dict(make_config(tmp_path, max_epochs=1))
+        for _ in range(2):
+            cli.run_training(cfg)
+        lines = (tmp_path / "ckpt" / "train_log.jsonl").read_text().splitlines()
+        steps = [json.loads(line)["step"] for line in lines]
+        assert steps == list(range(1, len(steps) + 1))
+
     def test_flag_overrides_stored_in_checkpoint(self, tmp_path):
         write_toy(tmp_path)
         cfg_path = tmp_path / "config.json"
@@ -176,6 +185,14 @@ class TestEvalQA:
         assert report["num_skipped"] == 0
         for key in ("map", "mrr", "p_at_1"):
             assert 0.0 <= report[key] <= 1.0
+
+    def test_checkpoint_with_trailing_bytes_is_2(self, trained, tmp_path, capsys):
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes((trained / "ckpt" / "final.ckpt").read_bytes() + b"\0" * 8)
+        rc = cli.main(["eval-qa", "--checkpoint", str(padded),
+                       "--data", str(trained / "dev.tsv")])
+        assert rc == 2
+        assert "8 trailing bytes" in capsys.readouterr().err
 
     def test_queries_without_positive_are_skipped(self, trained, tmp_path, capsys):
         rows = [

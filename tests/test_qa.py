@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualqa import autodiff as ad
-from dualqa import qa
+from dualqa import qa, trainer
 
 from helpers import TINY_DIMS, make_tiny_models, zero_all
 
@@ -18,6 +18,23 @@ A_IDS = [5, 8, 10, 6]
 @pytest.fixture
 def models():
     return make_tiny_models(seed=3)
+
+
+def nll(q_ids, a_ids, label, params, cooc_count):
+    """The selection NLL as the trainer builds it, from encodings."""
+    v_q = qa.encode_bigru(q_ids, "question", params)
+    v_a = qa.encode_bigru(a_ids, "answer", params)
+    return qa.qa_nll_loss_from_vectors(v_q, v_a, label, cooc_count, params)
+
+
+def scores_for(q_ids, answers, params, cooc_count=0):
+    """Score tensors of each answer against one encoded question, the way
+    the trainer builds the derived conditional's inputs."""
+    v_q = qa.encode_bigru(q_ids, "question", params)
+    return [
+        qa.qa_score_from_vectors(v_q, qa.encode_bigru(a, "answer", params), cooc_count, params)
+        for a in answers
+    ]
 
 
 class TestEncodeBigru:
@@ -72,39 +89,39 @@ class TestNLLLoss:
     def test_equal_logits_give_ln2(self):
         qa_params, _ = make_tiny_models(seed=0)
         zero_all(qa_params)
-        loss = qa.qa_nll_loss(Q_IDS, A_IDS, 1, qa_params, 0).item()
+        loss = nll(Q_IDS, A_IDS, 1, qa_params, 0).item()
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct_label_drives_loss_to_zero(self):
         qa_params, _ = make_tiny_models(seed=0)
         zero_all(qa_params)
         qa_params.output_bias.values[:] = [0.0, 50.0]
-        assert qa.qa_nll_loss(Q_IDS, A_IDS, 1, qa_params, 0).item() < 1e-12
-        assert qa.qa_nll_loss(Q_IDS, A_IDS, 0, qa_params, 0).item() > 10.0
+        assert nll(Q_IDS, A_IDS, 1, qa_params, 0).item() < 1e-12
+        assert nll(Q_IDS, A_IDS, 0, qa_params, 0).item() > 10.0
 
     def test_symmetric_under_logit_and_label_swap(self):
         qa_params, _ = make_tiny_models(seed=0)
         zero_all(qa_params)
         qa_params.output_bias.values[:] = [0.3, -1.1]
-        loss_a = qa.qa_nll_loss(Q_IDS, A_IDS, 0, qa_params, 0).item()
+        loss_a = nll(Q_IDS, A_IDS, 0, qa_params, 0).item()
         qa_params.output_bias.values[:] = [-1.1, 0.3]
-        loss_b = qa.qa_nll_loss(Q_IDS, A_IDS, 1, qa_params, 0).item()
+        loss_b = nll(Q_IDS, A_IDS, 1, qa_params, 0).item()
         assert loss_a == pytest.approx(loss_b, abs=1e-12)
 
     def test_nonnegative(self, models):
         for label in (0, 1):
-            assert qa.qa_nll_loss(Q_IDS, A_IDS, label, models[0], 2).item() >= 0.0
+            assert nll(Q_IDS, A_IDS, label, models[0], 2).item() >= 0.0
 
     def test_bad_label_rejected(self, models):
         with pytest.raises(ValueError, match="label"):
-            qa.qa_nll_loss(Q_IDS, A_IDS, 2, models[0])
+            nll(Q_IDS, A_IDS, 2, models[0], 0)
 
     def test_gradients_match_finite_differences(self, models):
         qa_params, _ = models
         params = [t for _, t in qa_params.named_tensors()]
 
         def build(_):
-            return qa.qa_nll_loss(Q_IDS, A_IDS, 1, qa_params, 2)
+            return nll(Q_IDS, A_IDS, 1, qa_params, 2)
 
         assert ad.grad_check(build, params, epsilon=1e-5) < 1e-4
 
@@ -113,83 +130,65 @@ class TestConditional:
     def test_uniform_when_scores_equal(self):
         qa_params, _ = make_tiny_models(seed=0)
         zero_all(qa_params)
-        contrast = [[5, 6], [7, 8, 9], [10]]
-        prob = qa.qa_conditional_prob(Q_IDS, A_IDS, contrast, qa_params).item()
+        answers = [A_IDS, [5, 6], [7, 8, 9], [10]]
+        prob = qa.conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
         assert prob == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_explicit_softmax_of_scores(self, models):
         qa_params, _ = models
-        contrast = [[5, 6], [7, 8, 9]]
+        answers = [A_IDS, [5, 6], [7, 8, 9]]
         with ad.no_recording():
-            gold = qa.qa_score(Q_IDS, A_IDS, qa_params).item()
-            others = [qa.qa_score(Q_IDS, c, qa_params).item() for c in contrast]
+            gold, *others = [qa.qa_score(Q_IDS, a, qa_params, 0).item() for a in answers]
         expected = math.exp(gold) / (math.exp(gold) + sum(math.exp(s) for s in others))
-        got = qa.qa_conditional_prob(Q_IDS, A_IDS, contrast, qa_params).item()
+        got = qa.conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_strictly_inside_unit_interval(self, models):
-        got = qa.qa_conditional_prob(Q_IDS, A_IDS, [[5], [6, 7]], models[0]).item()
+        scores = scores_for(Q_IDS, [A_IDS, [5], [6, 7]], models[0])
+        got = qa.conditional_from_scores(scores).item()
         assert 0.0 < got < 1.0
 
     def test_members_ratios_sum_to_one(self, models):
         qa_params, _ = models
-        members = [A_IDS, [5, 6], [7, 8, 9], [10]]
+        scores = scores_for(Q_IDS, [A_IDS, [5, 6], [7, 8, 9], [10]], qa_params)
         total = 0.0
-        for i, member in enumerate(members):
-            rest = members[:i] + members[i + 1:]
-            total += qa.qa_conditional_prob(Q_IDS, member, rest, qa_params).item()
+        for i in range(len(scores)):
+            rotated = [scores[i]] + scores[:i] + scores[i + 1:]
+            total += qa.conditional_from_scores(rotated).item()
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_empty_contrast_rejected(self, models):
+    def test_empty_contrast_rejected(self):
         with pytest.raises(ValueError, match="contrast"):
-            qa.qa_conditional_prob(Q_IDS, A_IDS, [], models[0])
+            trainer.contrast_indices(A_IDS, [])
 
-    def test_gold_duplicates_filtered_from_contrast(self, models):
-        qa_params, _ = models
-        with_dup = qa.qa_conditional_prob(Q_IDS, A_IDS, [A_IDS, [5, 6]], qa_params).item()
-        without = qa.qa_conditional_prob(Q_IDS, A_IDS, [[5, 6]], qa_params).item()
-        assert with_dup == without
+    def test_gold_duplicates_filtered_from_contrast(self):
+        assert trainer.contrast_indices(A_IDS, [A_IDS, [5, 6], list(A_IDS)]) == [1]
         with pytest.raises(ValueError, match="contrast"):
-            qa.qa_conditional_prob(Q_IDS, A_IDS, [A_IDS], qa_params)
+            trainer.contrast_indices(A_IDS, [A_IDS])
 
 
 class TestRankCandidates:
     def test_orders_by_score_descending(self, models):
         qa_params, _ = models
         candidates = [[5], [6, 7], [8, 9, 10], [11]]
-        order = qa.rank_candidates(Q_IDS, candidates, qa_params)
+        coocs = [0, 1, 2, 0]
+        order = qa.rank_candidates(Q_IDS, candidates, qa_params, coocs)
         with ad.no_recording():
-            scores = [qa.qa_score(Q_IDS, c, qa_params).item() for c in candidates]
+            scores = [qa.qa_score(Q_IDS, c, qa_params, cc).item()
+                      for c, cc in zip(candidates, coocs)]
+        assert qa.candidate_scores(Q_IDS, candidates, qa_params, coocs) == scores
         assert order == sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
 
     def test_single_candidate(self, models):
-        assert qa.rank_candidates(Q_IDS, [[5, 6]], models[0]) == [0]
+        assert qa.rank_candidates(Q_IDS, [[5, 6]], models[0], [0]) == [0]
 
     def test_exact_tie_prefers_lower_index(self, models):
-        order = qa.rank_candidates(Q_IDS, [[5, 6], [5, 6]], models[0])
+        order = qa.rank_candidates(Q_IDS, [[5, 6], [5, 6]], models[0], [1, 1])
         assert order == [0, 1]
 
     def test_empty_candidates_rejected(self, models):
         with pytest.raises(ValueError, match="empty"):
-            qa.rank_candidates(Q_IDS, [], models[0])
-
-
-class TestRankingHingeReference:
-    def test_formula(self, models):
-        qa_params, _ = models
-        with ad.no_recording():
-            pos = qa.qa_score(Q_IDS, A_IDS, qa_params).item()
-            neg = qa.qa_score(Q_IDS, [5, 6], qa_params).item()
-        got = qa.ranking_hinge_loss(Q_IDS, A_IDS, [5, 6], qa_params)
-        assert got == max(0.0, 1.0 - pos + neg)
-
-    def test_clamped_at_zero_for_big_margin(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
-        # Give the positive class a huge bias: every score saturates to
-        # tanh(50), so the margin term is exactly 1 - s + s = 1.
-        qa_params.output_bias.values[:] = [0.0, 50.0]
-        assert qa.ranking_hinge_loss(Q_IDS, A_IDS, [5, 6], qa_params) == pytest.approx(1.0)
+            qa.rank_candidates(Q_IDS, [], models[0], [])
 
 
 class TestFeatureDimensions:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from dualqa import autodiff as ad
-from dualqa import qg
+from dualqa import qg, text
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import make_tiny_models, zero_all
+from helpers import make_small_trainer, make_tiny_models, small_corpus, zero_all
 
 Q_IDS = [4, 7]
 A_IDS = [5, 8, 10]
@@ -85,18 +85,19 @@ class TestDecodeStep:
     def test_distribution_over_question_vocab(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer(A_IDS, qg_params)
-        dist, state, alpha = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
+        dist, state, alpha, context = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
         assert dist.shape == (qg_params.question_vocab_size,)
         assert dist.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist.values >= 0)
         assert state.shape == s0.shape
         assert alpha.shape == (len(A_IDS),)
+        np.testing.assert_allclose(context.values, alpha.values @ H.values, atol=1e-12)
 
     def test_zero_projection_gives_uniform(self):
         _, qg_params = make_tiny_models(seed=0)
         qg_params.output_projection.values[...] = 0.0
         H, s0 = qg.encode_answer(A_IDS, qg_params)
-        dist, _, _ = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
+        dist, _, _, _ = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
         vocab = qg_params.question_vocab_size
         np.testing.assert_allclose(dist.values, np.full(vocab, 1.0 / vocab), atol=1e-15)
 
@@ -131,19 +132,27 @@ class TestSequenceLogProb:
         with pytest.raises(ValueError, match="empty"):
             qg.sequence_log_prob([], A_IDS, models[1])
 
-    def test_nll_is_negation(self, models):
-        _, qg_params = models
-        lp = qg.sequence_log_prob(Q_IDS, A_IDS, qg_params).item()
-        loss = qg.qg_nll_loss(Q_IDS, A_IDS, qg_params).item()
-        assert loss == pytest.approx(-lp, abs=1e-12)
-        assert loss >= 0.0
+    def test_nll_is_negation(self, tmp_path):
+        # The generation loss the trainer reports is the batch mean of
+        # -log P(q|a) over the positives.
+        pairs = small_corpus(tmp_path)
+        dual = make_small_trainer(pairs)
+        batch = next(text.make_batches(pairs, 4, 2, seed=7))
+        with ad.no_recording():
+            lps = [qg.sequence_log_prob(dual.vocab_q.encode(p.question_tokens),
+                                        dual.vocab_a.encode(p.answer_tokens),
+                                        dual.qg_params).item()
+                   for p in batch.positives]
+        _, qg_loss, _ = dual.independent_step(batch)
+        assert qg_loss == pytest.approx(-sum(lps) / batch.size, abs=1e-12)
+        assert qg_loss >= 0.0
 
     def test_gradients_match_finite_differences(self, models):
         _, qg_params = models
         params = [t for _, t in qg_params.named_tensors()]
 
         def build(_):
-            return qg.qg_nll_loss(Q_IDS, A_IDS, qg_params)
+            return ad.scalar_scale(qg.sequence_log_prob(Q_IDS, A_IDS, qg_params), -1.0)
 
         # eps 1e-4: the full-model loss is ~10 nats, so smaller steps sit
         # below the float64 rounding floor for the tiniest gradients.

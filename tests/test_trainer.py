@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
-from dualqa import bigram, text, trainer
+from dualqa import bigram, qa, qg, text, trainer
 
 from helpers import (
     TINY_DIMS, make_small_trainer, make_tiny_models, small_corpus, unique_tensors,
@@ -23,8 +23,6 @@ class TestTrainerConfig:
 
     def test_defaults_match_documented_values(self):
         cfg = trainer.TrainerConfig()
-        assert cfg.batch_size == 64
-        assert cfg.pool_batches == 10
         assert cfg.learning_rate == 2.0
         assert cfg.adadelta_rho == 0.95
         assert cfg.adadelta_eps == 1e-6
@@ -121,27 +119,75 @@ class TestSquaredLogGap:
         assert trainer.squared_log_gap(-10.0, t, -12.0, -18.0).item() == 0.0
 
 
+def dual_terms(qa_params, qg_params):
+    """The four inputs the trainer hands ``dual_loss`` for one positive:
+    both bigram marginals, log P(q|a), and the gold score followed by the
+    contrast scores."""
+    lm = bigram.BigramLM.fit([["a", "b"], ["b", "c"]])
+    q_ids, a_ids = [4, 7], [5, 8]
+    v_q = qa.encode_bigru(q_ids, "question", qa_params)
+    scores = [
+        qa.qa_score_from_vectors(v_q, qa.encode_bigru(ids, "answer", qa_params), cc, qa_params)
+        for ids, cc in ((a_ids, 1), ([6, 9], 0), ([10], 0))
+    ]
+    return (lm.sentence_log_prob(["b", "c"]), qg.sequence_log_prob(q_ids, a_ids, qg_params),
+            lm.sentence_log_prob(["a", "b"]), scores)
+
+
 class TestDualLoss:
     def test_nonnegative_and_finite(self):
         qa_params, qg_params = make_tiny_models(seed=4)
-        lm = bigram.BigramLM.fit([["a", "b"], ["b", "c"]])
-        value = trainer.dual_loss(
-            ["a", "b"], ["b", "c"], [4, 7], [5, 8], qa_params, qg_params,
-            lm, lm, [[6, 9], [10]],
-        ).item()
+        value = trainer.dual_loss(*dual_terms(qa_params, qg_params)).item()
         assert value >= 0.0 and np.isfinite(value)
+
+    def test_matches_gap_of_softmax_share(self):
+        qa_params, qg_params = make_tiny_models(seed=4)
+        log_p_a, seq_lp, log_p_q, scores = dual_terms(qa_params, qg_params)
+        s = np.array([t.item() for t in scores])
+        log_a_given_q = s[0] - np.log(np.exp(s).sum())
+        expected = (log_p_a + seq_lp.item() - log_p_q - log_a_given_q) ** 2
+        got = trainer.dual_loss(log_p_a, seq_lp, log_p_q, scores).item()
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_gradient_reaches_both_models(self):
         qa_params, qg_params = make_tiny_models(seed=4)
-        lm = bigram.BigramLM.fit([["a", "b"], ["b", "c"]])
         with ad.ComputationRecord():
-            loss = trainer.dual_loss(
-                ["a", "b"], ["b", "c"], [4, 7], [5, 8], qa_params, qg_params,
-                lm, lm, [[6, 9], [10]],
-            )
+            loss = trainer.dual_loss(*dual_terms(qa_params, qg_params))
         ad.backward(loss)
         assert np.any(qa_params.output_weights.grad != 0.0)
         assert np.any(qg_params.output_projection.grad != 0.0)
+
+
+class TestTrainingObjectiveGradients:
+    """Central differences on the two objectives ``train_step``
+    backpropagates, on a 4-positive batch with lambda_q = lambda_a = 0.1,
+    so the in-batch contrast set and the duality term are active."""
+
+    def _objective(self, tmp_path, which):
+        pairs = small_corpus(tmp_path)
+        dual = make_small_trainer(pairs, lambda_q=0.1, lambda_a=0.1)
+        (batch,) = text.make_batches(pairs, 4, 2, seed=7)
+        assert batch.size == 4
+
+        def build(_):
+            _, objective_qa, objective_qg, _, _, dual_sum = dual._batch_objectives(batch, True)
+            assert dual_sum is not None
+            return objective_qa if which == "qa" else objective_qg
+        return dual, build
+
+    def test_selection_objective(self, tmp_path):
+        dual, build = self._objective(tmp_path, "qa")
+        params = [dual.qa_params.output_bias, dual.qa_params.cooc_table]
+        assert ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4) < 1e-4
+        with pytest.raises(ad.GradientCheckError):
+            ad.grad_check(build, params[:1], epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
+
+    def test_generation_objective(self, tmp_path):
+        dual, build = self._objective(tmp_path, "qg")
+        params = [dual.qg_params.att_vector]
+        assert ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4) < 1e-4
+        with pytest.raises(ad.GradientCheckError):
+            ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
 
 
 class TestTrainStep:
@@ -190,6 +236,12 @@ class TestTrainStep:
             runs.append([t.values.copy() for _, t in dual.parameters])
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
+
+    def test_step_frees_its_tape(self, tmp_path):
+        pairs = small_corpus(tmp_path)
+        dual = make_small_trainer(pairs)
+        dual.train_step(self._batches(pairs, 1)[0])
+        assert dual.qa_params.output_weights._record.nodes == []
 
     def test_step_counter_advances(self, tmp_path):
         pairs = small_corpus(tmp_path)
