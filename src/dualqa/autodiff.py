@@ -2,9 +2,11 @@
 
 A small tape-based engine: primitives compute eagerly on numpy arrays
 and, while a :class:`ComputationRecord` is active, append nodes to it.
-``backward()`` walks the tape once in reverse and accumulates gradients
-additively into every tensor it reaches.  Desk-scale on purpose: float64
-everywhere, no fusion, no sparse storage, no higher-order derivatives.
+``backward(loss, wrt)`` walks the tape once in reverse and returns the
+gradients of the requested tensors as arrays; it leaves the record and
+the tensors unchanged, so one record can be walked for several losses.
+Desk-scale on purpose: float64 everywhere, no fusion, no sparse storage,
+no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -44,34 +46,22 @@ class GradientCheckError(ValueError):
 
 
 class Tensor:
-    """Dense float64 array plus a same-shape, zero-initialized gradient.
+    """Dense float64 array.
 
     ``node_id`` is assigned when the tensor participates in the active
     ComputationRecord and is None for tensors never recorded.  Size-1
     tensors (shape ``()`` or ``(1,)``) play the role of scalars.
     """
 
-    __slots__ = ("values", "_grad", "node_id", "_record")
+    __slots__ = ("values", "node_id", "_record")
 
     def __init__(self, values):
         v = np.array(values, dtype=np.float64)
         if not np.all(np.isfinite(v)):
             raise ValueError("tensor values must be finite")
         self.values = v
-        self._grad = None
         self.node_id = None
         self._record = None
-
-    @property
-    def grad(self) -> np.ndarray:
-        # Allocated on first access so pure inference never pays for it.
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value):
-        self._grad = value
 
     @property
     def shape(self):
@@ -81,10 +71,6 @@ class Tensor:
         if self.values.size != 1:
             raise ValueError(f"item() needs a size-1 tensor, got shape {self.shape}")
         return float(self.values.reshape(-1)[0])
-
-    def zero_grad(self):
-        if self._grad is not None:
-            self._grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, node_id={self.node_id})"
@@ -97,7 +83,6 @@ def _wrap(arr) -> Tensor:
         values = np.ascontiguousarray(values)
     t = Tensor.__new__(Tensor)
     t.values = values
-    t._grad = None
     t.node_id = None
     t._record = None
     return t
@@ -143,13 +128,12 @@ class ComputationRecord:
 
     One record per training step; single-threaded by contract.  Leaf
     tensors (parameters, constants) are registered lazily on first use.
+    Ids are never reused, so they index a walk's gradient buffers.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._tensors: list[Tensor] = []
         self._next_id = 0
-        self._backward_done = False
 
     def __enter__(self):
         _STACK.append(self)
@@ -167,7 +151,6 @@ class ComputationRecord:
         t._record = self
         t.node_id = self._next_id
         self._next_id += 1
-        self._tensors.append(t)
         return t.node_id
 
     def add_node(self, kind, inputs, output, ctx):
@@ -175,18 +158,8 @@ class ComputationRecord:
         output_id = self._register(output)
         self.nodes.append(_Node(kind, list(inputs), input_ids, output, output_id, ctx))
 
-    def zero_grads(self):
-        for t in self._tensors:
-            t.zero_grad()
-
-    def reset_backward(self):
-        self._backward_done = False
-
     def clear(self):
         self.nodes.clear()
-        self._tensors.clear()
-        self._next_id = 0
-        self._backward_done = False
 
 
 def _check_broadcast(kind, a, b):
@@ -352,93 +325,104 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _backward_node(node: _Node):
-    g = node.output._grad
-    if g is None or not g.any():
-        return
+def _input_grads(node: _Node, g):
+    """The node's contribution to the gradient of each of its inputs, in
+    input order, given the gradient ``g`` of its output.  For
+    ``row_lookup`` the contribution is ``g`` itself, which the walk
+    scatters into the looked-up rows."""
     kind, ins, ctx = node.kind, node.inputs, node.ctx
     y = node.output.values
     if kind == "add":
         a, b = ins
-        a.grad += _unbroadcast(g, a.values.shape)
-        b.grad += _unbroadcast(g, b.values.shape)
-    elif kind == "elementwise_mul":
+        return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
+    if kind == "elementwise_mul":
         a, b = ins
-        a.grad += _unbroadcast(g * b.values, a.values.shape)
-        b.grad += _unbroadcast(g * a.values, b.values.shape)
-    elif kind == "matmul":
-        a, b = ins
-        av, bv = a.values, b.values
+        return (_unbroadcast(g * b.values, a.values.shape),
+                _unbroadcast(g * a.values, b.values.shape))
+    if kind == "matmul":
+        av, bv = ins[0].values, ins[1].values
         if av.ndim == 2 and bv.ndim == 2:
-            a.grad += g @ bv.T
-            b.grad += av.T @ g
-        elif av.ndim == 1 and bv.ndim == 2:
-            a.grad += bv @ g
-            b.grad += np.outer(av, g)
-        elif av.ndim == 2 and bv.ndim == 1:
-            a.grad += np.outer(g, bv)
-            b.grad += av.T @ g
-        else:
-            a.grad += g * bv
-            b.grad += g * av
-    elif kind == "concat":
+            return g @ bv.T, av.T @ g
+        if av.ndim == 1 and bv.ndim == 2:
+            return bv @ g, np.outer(av, g)
+        if av.ndim == 2 and bv.ndim == 1:
+            return np.outer(g, bv), av.T @ g
+        return g * bv, g * av
+    if kind == "concat":
         axis = ctx["axis"]
         if axis == "rows":
-            for i, t in enumerate(ins):
-                t.grad += g[i]
-        else:
-            offset = 0
-            for t in ins:
-                n = t.values.shape[axis]
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + n)
-                t.grad += g[tuple(sl)]
-                offset += n
-    elif kind == "row_lookup":
-        (table,) = ins
-        idx = ctx["indices"]
-        if ctx["single"]:
-            np.add.at(table.grad, idx[0], g)
-        else:
-            np.add.at(table.grad, idx, g)
-    elif kind == "sigmoid":
-        ins[0].grad += g * y * (1.0 - y)
-    elif kind == "tanh":
-        ins[0].grad += g * (1.0 - y * y)
-    elif kind == "softmax_lastdim":
-        ins[0].grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
-    elif kind == "log":
-        ins[0].grad += g / ins[0].values
-    elif kind == "square":
-        ins[0].grad += 2.0 * ins[0].values * g
-    elif kind == "sum":
-        ins[0].grad += g
-    elif kind == "scalar_scale":
-        ins[0].grad += ctx["factor"] * g
-    else:  # pragma: no cover - forward would have rejected the kind
-        raise ValueError(f"unknown primitive kind: {kind!r}")
+            return list(g)
+        lead = (slice(None),) * (axis % g.ndim)
+        parts, offset = [], 0
+        for t in ins:
+            n = t.values.shape[axis]
+            parts.append(g[lead + (slice(offset, offset + n),)])
+            offset += n
+        return parts
+    if kind == "row_lookup":
+        return (g,)
+    if kind == "sigmoid":
+        return (g * y * (1.0 - y),)
+    if kind == "tanh":
+        return (g * (1.0 - y * y),)
+    if kind == "softmax_lastdim":
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+    if kind == "log":
+        return (g / ins[0].values,)
+    if kind == "square":
+        return (2.0 * ins[0].values * g,)
+    if kind == "sum":
+        return (g,)
+    if kind == "scalar_scale":
+        return (ctx["factor"] * g,)
+    raise ValueError(f"unknown primitive kind: {kind!r}")  # pragma: no cover
 
 
-def backward(loss: Tensor):
-    """Accumulate d(loss)/d(tensor) into every tensor the record reaches.
+def _walk_id(rec: ComputationRecord, t: Tensor):
+    """``t``'s id in ``rec``, or None when ``rec`` never recorded it.  The
+    scan finds a tensor that a newer record has recorded again since."""
+    if t._record is rec or t._record is None:
+        return t.node_id
+    return next((i for node in rec.nodes
+                 for i, inp in zip(node.input_ids, node.inputs) if inp is t), None)
 
-    Gradients add onto whatever is already in ``grad``; callers zero
-    between steps.  A second call on the same record without a reset is
-    an error to prevent silent double accumulation.
+
+def backward(loss: Tensor, wrt) -> list[np.ndarray]:
+    """d(loss)/d(t) for each tensor ``t`` in ``wrt``, in order.
+
+    One reverse walk over the record that produced ``loss``.  Its gradient
+    buffers are indexed by the record's tensor ids and live only for the
+    walk, so the record and the tensors are left as they were and the same
+    record can be walked again for another loss.  A tensor the walk never
+    reaches gets zeros of its shape.
     """
     rec = loss._record
     if rec is None or not isinstance(rec, ComputationRecord):
         raise ValueError("backward: loss was not produced under an active ComputationRecord")
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    if rec._backward_done:
-        raise RuntimeError(
-            "backward: already called on this record; reset_backward() or start a new record"
-        )
-    rec._backward_done = True
-    loss.grad[...] += 1.0
+    grads: list[np.ndarray | None] = [None] * rec._next_id
+    grads[loss.node_id] = np.ones(loss.shape)
     for node in reversed(rec.nodes):
-        _backward_node(node)
+        g = grads[node.output_id]
+        if g is None or not g.any():
+            continue
+        for i, t, part in zip(node.input_ids, node.inputs, _input_grads(node, g)):
+            buf = grads[i]
+            if buf is None:
+                # Zeros then add: ``part`` may be a view of ``g``.
+                buf = grads[i] = np.zeros(t.values.shape)
+            if node.kind == "row_lookup":
+                idx = node.ctx["indices"]
+                np.add.at(buf, idx[0] if node.ctx["single"] else idx, part)
+            else:
+                buf += part
+    out = []
+    for t in wrt:
+        i = _walk_id(rec, t)
+        g = grads[i] if i is not None else None
+        out.append(g if g is not None else np.zeros(t.values.shape))
+    return out
 
 
 def grad_check(build_loss, params, epsilon=1e-5, tolerance=1e-4, analytic_scale=1.0):
@@ -454,15 +438,10 @@ def grad_check(build_loss, params, epsilon=1e-5, tolerance=1e-4, analytic_scale=
     """
     if epsilon <= 0:
         raise ValueError("grad_check: epsilon must be positive")
-    for p in params:
-        p.zero_grad()
     with ComputationRecord():
         loss = build_loss(params)
     base = loss.item()
-    backward(loss)
-    analytic = [p.grad.copy() * analytic_scale for p in params]
-    for p in params:
-        p.zero_grad()
+    analytic = [g * analytic_scale for g in backward(loss, params)]
     with no_recording():
         again = build_loss(params).item()
         if again != base:

@@ -34,7 +34,6 @@ class RunConfig:
 
     train_path: str | None = None
     dev_path: str | None = None
-    test_path: str | None = None
     checkpoint_dir: str = "checkpoints"
     embedding_dim: int = 300
     qa_hidden: int = 100

@@ -21,6 +21,7 @@ __all__ = [
     "GRUCellParams",
     "gru_step",
     "QAParams",
+    "bigru_states",
     "encode_bigru",
     "qa_score",
     "qa_logits_from_vectors",
@@ -169,20 +170,29 @@ class QAParams:
         raise ValueError(f"side must be 'question' or 'answer', got {side!r}")
 
 
+def bigru_states(ids: list[int], emb: ad.Tensor, fwd: GRUCellParams,
+                 bwd: GRUCellParams):
+    """Hidden states of a forward and a backward GRU pass over the embedded
+    ids, both from zero states, each list in input order: the forward
+    pass ends at ``[-1]``, the backward pass at ``[0]``."""
+    if not ids:
+        raise ValueError("bigru_states: empty input")
+    states = []
+    for cell, order in ((fwd, ids), (bwd, ids[::-1])):
+        h = ad.zeros(cell.hidden_dim)
+        hs = []
+        for i in order:
+            h = gru_step(cell, ad.row_lookup(emb, i), h)
+            hs.append(h)
+        states.append(hs)
+    return states[0], states[1][::-1]
+
+
 def encode_bigru(ids: list[int], side: str, params: QAParams) -> ad.Tensor:
     """Concatenation of the two final hidden states of a forward and a
     backward GRU pass, both starting from zero states."""
-    if not ids:
-        raise ValueError("encode_bigru: empty input")
-    emb, fwd, bwd = params._side(side)
-    h = ad.zeros(fwd.hidden_dim)
-    for i in ids:
-        h = gru_step(fwd, ad.row_lookup(emb, i), h)
-    h_fwd = h
-    h = ad.zeros(bwd.hidden_dim)
-    for i in reversed(ids):
-        h = gru_step(bwd, ad.row_lookup(emb, i), h)
-    return ad.concat([h_fwd, h])
+    fwd_states, bwd_states = bigru_states(ids, *params._side(side))
+    return ad.concat([fwd_states[-1], bwd_states[0]])
 
 
 def qa_logits_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, cooc_count: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .qa import GRUCellParams, glorot_uniform, gru_step
+from .qa import GRUCellParams, bigru_states, glorot_uniform, gru_step
 from .text import EOS_ID, SOS_ID, UNK_ID, Vocabulary
 
 __all__ = [
@@ -50,10 +50,6 @@ class QGParams:
     att_history: ad.Tensor
     att_vector: ad.Tensor
     output_projection: ad.Tensor
-
-    @property
-    def encoder_hidden(self) -> int:
-        return self.encoder_fwd.hidden_dim
 
     @property
     def question_vocab_size(self) -> int:
@@ -102,20 +98,8 @@ def encode_answer(a_ids: list[int], params: QGParams):
     """Returns (H, s0): per-position concatenated forward/backward states
     as rows of H, and the final states of both directions concatenated as
     the initial decoder state."""
-    if not a_ids:
-        raise ValueError("encode_answer: empty input")
-    emb = params.answer_embeddings
-    h = ad.zeros(params.encoder_hidden)
-    fwd_states = []
-    for i in a_ids:
-        h = gru_step(params.encoder_fwd, ad.row_lookup(emb, i), h)
-        fwd_states.append(h)
-    h = ad.zeros(params.encoder_hidden)
-    bwd_states = []
-    for i in reversed(a_ids):
-        h = gru_step(params.encoder_bwd, ad.row_lookup(emb, i), h)
-        bwd_states.append(h)
-    bwd_states.reverse()
+    fwd_states, bwd_states = bigru_states(
+        a_ids, params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
     rows = [ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
     H = ad.concat(rows, axis="rows")
     s0 = ad.concat([fwd_states[-1], bwd_states[0]])

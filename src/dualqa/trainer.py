@@ -97,7 +97,8 @@ def init_models(q_vocab_size: int, a_vocab_size: int, dims: ModelDims, seed: int
 
 
 def named_parameters(qa_params: qa_mod.QAParams, qg_params: qg_mod.QGParams):
-    """Canonical (name, tensor) list with shared embeddings listed once."""
+    """Canonical (name, tensor) list: the shared embeddings once, then the
+    selection model's tensors, then the generator's."""
     if (qa_params.question_embeddings is not qg_params.question_embeddings
             or qa_params.answer_embeddings is not qg_params.answer_embeddings):
         raise ValueError("models must share their embedding matrices")
@@ -201,6 +202,9 @@ class DualTrainer:
         self.vocab_a = vocab_a
         self.config = config
         self.parameters = named_parameters(qa_params, qg_params)
+        # Shared, selection-only and generation-only tensors, in parameter order.
+        self._groups = [[t for name, t in self.parameters if name.startswith(group)]
+                        for group in ("shared.", "qa.", "qg.")]
         self.opt_state = {name: AdaDeltaState.zeros_like(t) for name, t in self.parameters}
         self.global_step = 0
 
@@ -209,13 +213,6 @@ class DualTrainer:
         a_ids = self.vocab_a.encode(pair.answer_tokens)
         return q_ids, a_ids
 
-    def _snapshot(self, prefix_filter) -> dict[str, np.ndarray]:
-        return {
-            name: t.grad.copy()
-            for name, t in self.parameters
-            if name.startswith(prefix_filter)
-        }
-
     def _check_finite(self, **losses):
         for key, value in losses.items():
             if not np.isfinite(value):
@@ -223,11 +220,8 @@ class DualTrainer:
                     f"non-finite {key} ({value!r}) at step {self.global_step}"
                 )
 
-    def _apply_updates(self, grads: dict[str, np.ndarray]):
-        for name, tensor in self.parameters:
-            grad = grads.get(name)
-            if grad is None:
-                grad = np.zeros_like(tensor.values)
+    def _apply_updates(self, grads: list[np.ndarray]):
+        for (name, tensor), grad in zip(self.parameters, grads, strict=True):
             adadelta_update(tensor, grad, self.opt_state[name], self.config)
 
     def _batch_objectives(self, batch: TrainingBatch, use_dual: bool):
@@ -315,19 +309,13 @@ class DualTrainer:
         dual_mean = dual_sum.item() / m if dual_sum is not None else 0.0
         self._check_finite(qa_loss=qa_mean, qg_loss=qg_mean, dual_loss=dual_mean)
 
-        # Two backward passes over one record: each model's update uses
-        # only its own objective's gradients; shared embeddings sum both.
-        ad.backward(objective_qa)
-        grads = self._snapshot(("shared.", "qa."))
-        record.zero_grads()
-        record.reset_backward()
-        ad.backward(objective_qg)
-        for name, grad in self._snapshot(("shared.", "qg.")).items():
-            if name in grads:
-                grads[name] = grads[name] + grad
-            else:
-                grads[name] = grad
-        record.zero_grads()
+        # Two walks over one record: each model's update uses only its own
+        # objective's gradients; the shared embeddings sum both, QA's first.
+        shared, qa_own, qg_own = self._groups
+        qa_grads = ad.backward(objective_qa, shared + qa_own)
+        qg_grads = ad.backward(objective_qg, shared + qg_own)
+        n = len(shared)
+        grads = [a + b for a, b in zip(qa_grads[:n], qg_grads[:n])] + qa_grads[n:] + qg_grads[n:]
         # Dropping the nodes breaks the tensor -> record -> node cycles, so
         # reference counting, not the cyclic collector, frees the tape.
         record.clear()

@@ -88,41 +88,57 @@ class TestBackwardAnchors:
         x = ad.Tensor([1.0, 2.0, 3.0])
         with ad.ComputationRecord():
             loss = ad.reduce_sum(ad.elementwise_mul(x, x))
-        ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+        (gx,) = ad.backward(loss, [x])
+        np.testing.assert_array_equal(gx, [2.0, 4.0, 6.0])
 
     def test_sigmoid_derivative_at_zero(self):
         x = ad.Tensor(np.asarray(0.0))
         with ad.ComputationRecord():
             loss = ad.sigmoid(x)
-        ad.backward(loss)
-        assert x.grad == pytest.approx(0.25, abs=1e-15)
+        (gx,) = ad.backward(loss, [x])
+        assert gx == pytest.approx(0.25, abs=1e-15)
 
     def test_softmax_nll_closed_form(self):
         z = ad.Tensor([0.3, -1.2, 0.7])
         with ad.ComputationRecord():
             loss = ad.scalar_scale(ad.log(ad.row_lookup(ad.softmax_lastdim(z), 2)), -1.0)
-        ad.backward(loss)
+        (gz,) = ad.backward(loss, [z])
         shifted = np.exp(z.values - z.values.max())
         softmax = shifted / shifted.sum()
-        np.testing.assert_allclose(z.grad, softmax - np.array([0.0, 0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(gz, softmax - np.array([0.0, 0.0, 1.0]), atol=1e-12)
 
-    def test_gradients_accumulate_additively(self):
-        x = ad.Tensor([1.0, 2.0])
-        with ad.ComputationRecord():
-            loss = ad.reduce_sum(x)
-        ad.backward(loss)
-        with ad.ComputationRecord():
-            loss = ad.reduce_sum(ad.elementwise_mul(x, x))
-        ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, [3.0, 5.0])
+    def test_repeated_walks_return_equal_arrays(self):
+        x, w = ad.Tensor([1.0, 2.0]), ad.Tensor([[0.5, -1.0], [2.0, 0.25]])
+        with ad.ComputationRecord() as rec:
+            loss = ad.reduce_sum(ad.tanh(ad.matmul(w, ad.elementwise_mul(x, x))))
+        n_nodes = len(rec.nodes)
+        first = ad.backward(loss, [x, w])
+        second = ad.backward(loss, [x, w])
+        assert len(rec.nodes) == n_nodes
+        for a, b in zip(first, second):
+            assert a is not b
+            np.testing.assert_array_equal(a, b)
 
     def test_nonparticipating_tensor_keeps_zero_grad(self):
-        x, unused = ad.Tensor([1.0]), ad.Tensor([5.0])
+        # ``unused`` is never recorded; ``side`` is, but does not feed the loss.
+        x, unused, side = ad.Tensor([1.0, 2.0]), ad.Tensor([5.0]), ad.Tensor(np.ones((3, 2)))
         with ad.ComputationRecord():
+            ad.matmul(side, x)
             loss = ad.reduce_sum(x)
-        ad.backward(loss)
-        np.testing.assert_array_equal(unused.grad, [0.0])
+        g_x, g_unused, g_side = ad.backward(loss, [x, unused, side])
+        np.testing.assert_array_equal(g_x, [1.0, 1.0])
+        np.testing.assert_array_equal(g_unused, [0.0])
+        assert g_side.shape == (3, 2)
+        np.testing.assert_array_equal(g_side, np.zeros((3, 2)))
+
+    def test_tensor_recorded_again_later_keeps_its_gradient(self):
+        x = ad.Tensor([1.0, 2.0])
+        with ad.ComputationRecord():
+            first = ad.reduce_sum(ad.square(x))
+        with ad.ComputationRecord():
+            ad.reduce_sum(x)
+        (gx,) = ad.backward(first, [x])
+        np.testing.assert_array_equal(gx, [2.0, 4.0])
 
 
 class TestBackwardErrors:
@@ -131,22 +147,13 @@ class TestBackwardErrors:
         with ad.ComputationRecord():
             y = ad.square(x)
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(y)
-
-    def test_double_backward_without_reset(self):
-        x = ad.Tensor([1.0])
-        with ad.ComputationRecord() as rec:
-            loss = ad.reduce_sum(x)
-        ad.backward(loss)
-        with pytest.raises(RuntimeError, match="already called"):
-            ad.backward(loss)
-        rec.reset_backward()
-        ad.backward(loss)  # allowed after an explicit reset
+            ad.backward(y, [x])
 
     def test_loss_without_record(self):
-        loss = ad.reduce_sum(ad.Tensor([1.0]))
+        x = ad.Tensor([1.0])
+        loss = ad.reduce_sum(x)
         with pytest.raises(ValueError, match="ComputationRecord"):
-            ad.backward(loss)
+            ad.backward(loss, [x])
 
 
 class TestRecord:
@@ -170,9 +177,9 @@ class TestRecord:
         x = ad.Tensor([1.0])
         with ad.ComputationRecord() as rec:
             loss = ad.reduce_sum(x)
-        ad.backward(loss)
+        ad.backward(loss, [x])
         rec.clear()
-        assert rec.nodes == [] and not rec._backward_done
+        assert rec.nodes == []
 
 
 def _scalarized(op, rng):

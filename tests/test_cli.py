@@ -38,6 +38,8 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(UsageError, match="unknown config keys.*momentum"):
             RunConfig.from_dict({"momentum": 0.9})
+        with pytest.raises(UsageError, match="unknown config keys.*test_path"):
+            RunConfig.from_dict({"test_path": "test.tsv"})
 
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(UsageError, match="qa_hidden"):

@@ -26,13 +26,13 @@ class TestEncodeAnswer:
     def test_one_row_per_position(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer([5, 8, 10, 6, 4], qg_params)
-        assert H.shape == (5, 2 * qg_params.encoder_hidden)
-        assert s0.shape == (2 * qg_params.encoder_hidden,)
+        assert H.shape == (5, 2 * qg_params.encoder_fwd.hidden_dim)
+        assert s0.shape == (2 * qg_params.encoder_fwd.hidden_dim,)
 
     def test_single_token(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer([5], qg_params)
-        assert H.shape == (1, 2 * qg_params.encoder_hidden)
+        assert H.shape == (1, 2 * qg_params.encoder_fwd.hidden_dim)
         np.testing.assert_array_equal(H.values[0], s0.values)
 
     def test_zero_parameters_give_zero_states(self):
@@ -45,7 +45,7 @@ class TestEncodeAnswer:
     def test_initial_state_concatenates_final_directions(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer(A_IDS, qg_params)
-        hidden = qg_params.encoder_hidden
+        hidden = qg_params.encoder_fwd.hidden_dim
         np.testing.assert_array_equal(s0.values[:hidden], H.values[-1, :hidden])
         np.testing.assert_array_equal(s0.values[hidden:], H.values[0, hidden:])
 
@@ -66,7 +66,7 @@ class TestAttention:
 
     def test_identical_rows_and_zero_history_give_uniform(self, models):
         _, qg_params = models
-        width = 2 * qg_params.encoder_hidden
+        width = 2 * qg_params.encoder_fwd.hidden_dim
         rng = np.random.default_rng(1)
         row = rng.normal(size=width)
         H = ad.Tensor(np.tile(row, (4, 1)))
