@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A small tape-based engine: primitives compute eagerly on numpy arrays
-and, while a :class:`ComputationRecord` is active, append nodes to it.
-``backward(loss, wrt)`` walks the tape once in reverse and returns the
-gradients of the requested tensors as arrays; it leaves the record and
-the tensors unchanged, so one record can be walked for several losses.
+and, while a :class:`ComputationRecord` is active, append nodes to it;
+recording writes only to the tensor a node creates.
+``backward(loss, wrt)`` walks the record that produced ``loss`` once in
+reverse and returns the gradients of the requested tensors as arrays; it
+leaves the record and the tensors unchanged, so one record can be walked
+for several losses.
 Desk-scale on purpose: float64 everywhere, no fusion, no sparse storage,
 no higher-order derivatives.
 """
@@ -48,19 +50,19 @@ class GradientCheckError(ValueError):
 class Tensor:
     """Dense float64 array.
 
-    ``node_id`` is assigned when the tensor participates in the active
-    ComputationRecord and is None for tensors never recorded.  Size-1
-    tensors (shape ``()`` or ``(1,)``) play the role of scalars.
+    ``_record`` is the ComputationRecord whose primitive created the
+    tensor, and None for leaves (parameters, constants) and for tensors
+    computed outside any record.  Size-1 tensors (shape ``()`` or
+    ``(1,)``) play the role of scalars.
     """
 
-    __slots__ = ("values", "node_id", "_record")
+    __slots__ = ("values", "_record")
 
     def __init__(self, values):
         v = np.array(values, dtype=np.float64)
         if not np.all(np.isfinite(v)):
             raise ValueError("tensor values must be finite")
         self.values = v
-        self.node_id = None
         self._record = None
 
     @property
@@ -73,7 +75,7 @@ class Tensor:
         return float(self.values.reshape(-1)[0])
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, node_id={self.node_id})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _wrap(arr) -> Tensor:
@@ -83,7 +85,6 @@ def _wrap(arr) -> Tensor:
         values = np.ascontiguousarray(values)
     t = Tensor.__new__(Tensor)
     t.values = values
-    t.node_id = None
     t._record = None
     return t
 
@@ -93,14 +94,12 @@ def zeros(shape) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "inputs", "input_ids", "output", "output_id", "ctx")
+    __slots__ = ("kind", "inputs", "output", "ctx")
 
-    def __init__(self, kind, inputs, input_ids, output, output_id, ctx):
+    def __init__(self, kind, inputs, output, ctx):
         self.kind = kind
         self.inputs = inputs
-        self.input_ids = input_ids
         self.output = output
-        self.output_id = output_id
         self.ctx = ctx
 
 
@@ -126,14 +125,13 @@ class no_recording:
 class ComputationRecord:
     """Topologically ordered tape of primitive applications.
 
-    One record per training step; single-threaded by contract.  Leaf
-    tensors (parameters, constants) are registered lazily on first use.
-    Ids are never reused, so they index a walk's gradient buffers.
+    One record per training step; single-threaded by contract.  Each node
+    references its input tensors and owns its output, the only tensor
+    recording writes to.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._next_id = 0
 
     def __enter__(self):
         _STACK.append(self)
@@ -145,18 +143,9 @@ class ComputationRecord:
             raise RuntimeError("mismatched ComputationRecord nesting")
         return False
 
-    def _register(self, t: Tensor) -> int:
-        if t._record is self and t.node_id is not None:
-            return t.node_id
-        t._record = self
-        t.node_id = self._next_id
-        self._next_id += 1
-        return t.node_id
-
     def add_node(self, kind, inputs, output, ctx):
-        input_ids = [self._register(t) for t in inputs]
-        output_id = self._register(output)
-        self.nodes.append(_Node(kind, list(inputs), input_ids, output, output_id, ctx))
+        output._record = self
+        self.nodes.append(_Node(kind, list(inputs), output, ctx))
 
     def clear(self):
         self.nodes.clear()
@@ -378,51 +367,38 @@ def _input_grads(node: _Node, g):
     raise ValueError(f"unknown primitive kind: {kind!r}")  # pragma: no cover
 
 
-def _walk_id(rec: ComputationRecord, t: Tensor):
-    """``t``'s id in ``rec``, or None when ``rec`` never recorded it.  The
-    scan finds a tensor that a newer record has recorded again since."""
-    if t._record is rec or t._record is None:
-        return t.node_id
-    return next((i for node in rec.nodes
-                 for i, inp in zip(node.input_ids, node.inputs) if inp is t), None)
-
-
 def backward(loss: Tensor, wrt) -> list[np.ndarray]:
     """d(loss)/d(t) for each tensor ``t`` in ``wrt``, in order.
 
-    One reverse walk over the record that produced ``loss``.  Its gradient
-    buffers are indexed by the record's tensor ids and live only for the
-    walk, so the record and the tensors are left as they were and the same
-    record can be walked again for another loss.  A tensor the walk never
-    reaches gets zeros of its shape.
+    One reverse walk over the record that produced ``loss``, whatever
+    records have used ``loss`` or its inputs since.  Its gradient buffers
+    are keyed by ``id(tensor)``, which is sound because the record keeps
+    every tensor it references alive during the walk; the buffers live
+    only for the walk, so the record and the tensors are left as they were
+    and the same record can be walked again for another loss.  A tensor
+    the walk never reaches gets zeros of its shape.
     """
     rec = loss._record
-    if rec is None or not isinstance(rec, ComputationRecord):
+    if rec is None:
         raise ValueError("backward: loss was not produced under an active ComputationRecord")
     if loss.values.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    grads: list[np.ndarray | None] = [None] * rec._next_id
-    grads[loss.node_id] = np.ones(loss.shape)
+    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     for node in reversed(rec.nodes):
-        g = grads[node.output_id]
+        g = grads.get(id(node.output))
         if g is None or not g.any():
             continue
-        for i, t, part in zip(node.input_ids, node.inputs, _input_grads(node, g)):
-            buf = grads[i]
+        for t, part in zip(node.inputs, _input_grads(node, g)):
+            buf = grads.get(id(t))
             if buf is None:
                 # Zeros then add: ``part`` may be a view of ``g``.
-                buf = grads[i] = np.zeros(t.values.shape)
+                buf = grads[id(t)] = np.zeros(t.values.shape)
             if node.kind == "row_lookup":
                 idx = node.ctx["indices"]
                 np.add.at(buf, idx[0] if node.ctx["single"] else idx, part)
             else:
                 buf += part
-    out = []
-    for t in wrt:
-        i = _walk_id(rec, t)
-        g = grads[i] if i is not None else None
-        out.append(g if g is not None else np.zeros(t.values.shape))
-    return out
+    return [grads[id(t)] if id(t) in grads else np.zeros(t.values.shape) for t in wrt]
 
 
 def grad_check(build_loss, params, epsilon=1e-5, tolerance=1e-4, analytic_scale=1.0):

@@ -118,14 +118,6 @@ class QAParams:
     output_weights: ad.Tensor
     output_bias: ad.Tensor
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.question_fwd.hidden_dim
-
-    @property
-    def feature_dim(self) -> int:
-        return self.output_weights.shape[1]
-
     @classmethod
     def create(cls, question_embeddings: ad.Tensor, answer_embeddings: ad.Tensor,
                hidden_dim: int, cooc_vocab: int, cooc_dim: int,

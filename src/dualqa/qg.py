@@ -51,10 +51,6 @@ class QGParams:
     att_vector: ad.Tensor
     output_projection: ad.Tensor
 
-    @property
-    def question_vocab_size(self) -> int:
-        return self.output_projection.shape[0]
-
     @classmethod
     def create(cls, question_embeddings: ad.Tensor, answer_embeddings: ad.Tensor,
                encoder_hidden: int, attention_dim: int,

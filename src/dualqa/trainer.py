@@ -13,6 +13,7 @@ lambda_q; shared embeddings receive contributions from both.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -402,6 +403,12 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self) -> str:
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("checkpoint text is not valid UTF-8") from None
+
 
 def _dims_from_config(config: dict) -> ModelDims:
     try:
@@ -426,20 +433,17 @@ def load_checkpoint(path) -> Checkpoint:
     n_records = reader.u32()
     records: dict[str, np.ndarray] = {}
     for _ in range(n_records):
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = reader.text()
         rank = reader.u32()
         shape = tuple(reader.u64() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         records[name] = values.astype(np.float64)
 
-    def blob():
-        return json.loads(reader.take(reader.u32()).decode("utf-8"))
-
-    vocab_q_tokens = blob()
-    vocab_a_tokens = blob()
-    lms = blob()
-    config = blob()
+    try:
+        vocab_q_tokens, vocab_a_tokens, lms, config = [json.loads(reader.text()) for _ in range(4)]
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"checkpoint JSON is malformed: {e}") from None
     if reader.pos != len(reader.data):
         raise CheckpointError(
             f"checkpoint has {len(reader.data) - reader.pos} trailing bytes after its config"

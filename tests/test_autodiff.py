@@ -139,6 +139,13 @@ class TestBackwardAnchors:
             ad.reduce_sum(x)
         (gx,) = ad.backward(first, [x])
         np.testing.assert_array_equal(gx, [2.0, 4.0])
+        # The loss itself feeds a second record.
+        with ad.ComputationRecord():
+            loss = ad.reduce_sum(ad.square(x))
+        with ad.ComputationRecord():
+            ad.scalar_scale(loss, 3.0)
+        (gx,) = ad.backward(loss, [x])
+        np.testing.assert_array_equal(gx, [2.0, 4.0])
 
 
 class TestBackwardErrors:
@@ -160,9 +167,14 @@ class TestRecord:
     def test_nodes_topologically_ordered(self):
         x = ad.Tensor([1.0, 2.0])
         with ad.ComputationRecord() as rec:
-            ad.reduce_sum(ad.square(ad.tanh(x)))
+            ad.reduce_sum(ad.add(ad.square(ad.tanh(x)), x))
+        made = set()
         for node in rec.nodes:
-            assert all(i < node.output_id for i in node.input_ids)
+            assert all(t._record is None or id(t) in made for t in node.inputs)
+            assert node.output._record is rec
+            made.add(id(node.output))
+        # Recording never writes to its inputs.
+        assert x._record is None
 
     def test_no_recording_suspends_taping(self):
         x = ad.Tensor([1.0])

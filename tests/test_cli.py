@@ -4,6 +4,7 @@ subcommands end to end on a small generated corpus."""
 import json
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -189,12 +190,27 @@ class TestEvalQA:
             assert 0.0 <= report[key] <= 1.0
 
     def test_checkpoint_with_trailing_bytes_is_2(self, trained, tmp_path, capsys):
-        padded = tmp_path / "padded.ckpt"
-        padded.write_bytes((trained / "ckpt" / "final.ckpt").read_bytes() + b"\0" * 8)
-        rc = cli.main(["eval-qa", "--checkpoint", str(padded),
-                       "--data", str(trained / "dev.tsv")])
-        assert rc == 2
-        assert "8 trailing bytes" in capsys.readouterr().err
+        data = (trained / "ckpt" / "final.ckpt").read_bytes()
+        # Give the first record dims whose product wraps to 0 in 64 bits.
+        name_len = struct.unpack_from("<I", data, len(trainer.CHECKPOINT_MAGIC) + 4)[0]
+        rank_at = len(trainer.CHECKPOINT_MAGIC) + 8 + name_len
+        assert struct.unpack_from("<I", data, rank_at)[0] == 2
+        huge = bytearray(data)
+        struct.pack_into("<QQ", huge, rank_at + 4, 2**40, 2**24)
+        # The config is the last blob and ends with "}".
+        cases = [
+            (data + b"\0" * 8, "8 trailing bytes"),
+            (bytes(huge), "truncated checkpoint file"),
+            (data[:-1] + b"!", "checkpoint JSON is malformed"),
+            (data[:-1] + b"\xff", "checkpoint text is not valid UTF-8"),
+        ]
+        for corrupted, message in cases:
+            path = tmp_path / "corrupted.ckpt"
+            path.write_bytes(corrupted)
+            rc = cli.main(["eval-qa", "--checkpoint", str(path),
+                           "--data", str(trained / "dev.tsv")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_queries_without_positive_are_skipped(self, trained, tmp_path, capsys):
         rows = [

@@ -41,12 +41,12 @@ class TestEncodeBigru:
     def test_output_is_twice_hidden(self, models):
         qa_params, _ = models
         out = qa.encode_bigru(Q_IDS, "question", qa_params)
-        assert out.shape == (2 * qa_params.hidden_dim,)
+        assert out.shape == (2 * qa_params.question_fwd.hidden_dim,)
 
     def test_single_token(self, models):
         qa_params, _ = models
         out = qa.encode_bigru([4], "answer", qa_params)
-        assert out.shape == (2 * qa_params.hidden_dim,)
+        assert out.shape == (2 * qa_params.question_fwd.hidden_dim,)
         assert np.all(np.isfinite(out.values))
 
     def test_zero_parameters_give_zero_vector(self):
@@ -194,7 +194,7 @@ class TestRankCandidates:
 class TestFeatureDimensions:
     def test_feature_is_six_hidden_plus_cooc(self, models):
         qa_params, _ = models
-        assert qa_params.feature_dim == 6 * TINY_DIMS.qa_hidden + TINY_DIMS.cooc_dim
+        assert qa_params.output_weights.shape[1] == 6 * TINY_DIMS.qa_hidden + TINY_DIMS.cooc_dim
 
     def test_cooc_table_shape(self, models):
         assert models[0].cooc_table.shape == (TINY_DIMS.cooc_vocab, TINY_DIMS.cooc_dim)

@@ -86,7 +86,7 @@ class TestDecodeStep:
         _, qg_params = models
         H, s0 = qg.encode_answer(A_IDS, qg_params)
         dist, state, alpha, context = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
-        assert dist.shape == (qg_params.question_vocab_size,)
+        assert dist.shape == (qg_params.output_projection.shape[0],)
         assert dist.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist.values >= 0)
         assert state.shape == s0.shape
@@ -98,7 +98,7 @@ class TestDecodeStep:
         qg_params.output_projection.values[...] = 0.0
         H, s0 = qg.encode_answer(A_IDS, qg_params)
         dist, _, _, _ = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
-        vocab = qg_params.question_vocab_size
+        vocab = qg_params.output_projection.shape[0]
         np.testing.assert_allclose(dist.values, np.full(vocab, 1.0 / vocab), atol=1e-15)
 
     def test_invalid_token_rejected(self, models):
@@ -112,7 +112,7 @@ class TestSequenceLogProb:
     def test_uniform_model_closed_form(self):
         _, qg_params = make_tiny_models(seed=0)
         qg_params.output_projection.values[...] = 0.0
-        vocab = qg_params.question_vocab_size
+        vocab = qg_params.output_projection.shape[0]
         got = qg.sequence_log_prob(Q_IDS, A_IDS, qg_params).item()
         expected = (len(Q_IDS) + 1) * math.log(1.0 / vocab)
         assert got == pytest.approx(expected, abs=1e-12)

@@ -237,11 +237,20 @@ class TestTrainStep:
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a, b)
 
-    def test_step_frees_its_tape(self, tmp_path):
+    def test_step_frees_its_tape(self, tmp_path, monkeypatch):
         pairs = small_corpus(tmp_path)
         dual = make_small_trainer(pairs)
+        built = []
+
+        def spy(*args):
+            result = trainer.DualTrainer._batch_objectives(dual, *args)
+            built.append(result[0])
+            return result
+
+        monkeypatch.setattr(dual, "_batch_objectives", spy)
         dual.train_step(self._batches(pairs, 1)[0])
-        assert dual.qa_params.output_weights._record.nodes == []
+        (record,) = built
+        assert record.nodes == []
 
     def test_step_counter_advances(self, tmp_path):
         pairs = small_corpus(tmp_path)
