@@ -7,8 +7,8 @@ recording writes only to the tensor a node creates.
 reverse and returns the gradients of the requested tensors as arrays; it
 leaves the record and the tensors unchanged, so one record can be walked
 for several losses.
-Desk-scale on purpose: float64 everywhere, no fusion, no sparse storage,
-no higher-order derivatives.
+Desk-scale on purpose: float64 everywhere, the GRU update as the one fused
+primitive (``gru_cell``), no sparse storage, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ __all__ = [
     "matmul",
     "concat",
     "row_lookup",
-    "sigmoid",
+    "gru_cell",
     "tanh",
     "softmax_lastdim",
     "log",
     "square",
     "reduce_sum",
     "scalar_scale",
-    "one_minus",
 ]
 
 
@@ -211,8 +210,13 @@ def _forward_values(kind, vals, ctx):
                 )
         out = table[idx[0]] if ctx["single"] else table[idx]
         return np.array(out, dtype=np.float64)
-    if kind == "sigmoid":
-        return _stable_sigmoid(np.asarray(vals[0], dtype=np.float64))
+    if kind == "gru_cell":
+        x, h, W_z, U_z, W_r, U_r, W_h, U_h = vals
+        z = ctx["z"] = _stable_sigmoid(W_z @ x + U_z @ h)
+        r = ctx["r"] = _stable_sigmoid(W_r @ x + U_r @ h)
+        rh = ctx["rh"] = r * h
+        c = ctx["c"] = np.tanh(W_h @ x + U_h @ rh)
+        return z * c + (1.0 - z) * h
     if kind == "tanh":
         return np.tanh(vals[0])
     if kind == "softmax_lastdim":
@@ -271,8 +275,12 @@ def row_lookup(table: Tensor, indices) -> Tensor:
     return _apply("row_lookup", [table], {"indices": idx, "single": single})
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return _apply("sigmoid", [x])
+def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
+             U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
+    """One bias-free GRU update (Cho et al. 2014) as a single node:
+    z = sigmoid(W_z x + U_z h), r = sigmoid(W_r x + U_r h),
+    c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h."""
+    return _apply("gru_cell", [x, h, W_z, U_z, W_r, U_r, W_h, U_h])
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -297,10 +305,6 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 def scalar_scale(x: Tensor, factor: float) -> Tensor:
     return _apply("scalar_scale", [x], {"factor": float(factor)})
-
-
-def one_minus(x: Tensor) -> Tensor:
-    return add(_wrap(np.ones_like(x.values)), scalar_scale(x, -1.0))
 
 
 def _unbroadcast(grad, shape):
@@ -350,8 +354,18 @@ def _input_grads(node: _Node, g):
         return parts
     if kind == "row_lookup":
         return (g,)
-    if kind == "sigmoid":
-        return (g * y * (1.0 - y),)
+    if kind == "gru_cell":
+        x, h, W_z, U_z, W_r, U_r, W_h, U_h = (t.values for t in ins)
+        z, r, rh, c = ctx["z"], ctx["r"], ctx["rh"], ctx["c"]
+        # Gradients of the three pre-activations, then of the cell's inputs.
+        a_h = g * z * (1.0 - c * c)
+        a_z = g * (c - h) * z * (1.0 - z)
+        g_rh = U_h.T @ a_h
+        a_r = g_rh * h * r * (1.0 - r)
+        return (W_z.T @ a_z + W_r.T @ a_r + W_h.T @ a_h,
+                g * (1.0 - z) + g_rh * r + U_z.T @ a_z + U_r.T @ a_r,
+                np.outer(a_z, x), np.outer(a_z, h), np.outer(a_r, x),
+                np.outer(a_r, h), np.outer(a_h, x), np.outer(a_h, rh))
     if kind == "tanh":
         return (g * (1.0 - y * y),)
     if kind == "softmax_lastdim":

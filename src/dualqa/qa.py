@@ -82,21 +82,9 @@ class GRUCellParams:
         ]
 
 
-def _gate_preact(W, x, U, h):
-    return ad.add(ad.matmul(W, x), ad.matmul(U, h))
-
-
 def gru_step(cell: GRUCellParams, x: ad.Tensor, h_prev: ad.Tensor) -> ad.Tensor:
     """One GRU update: z and r gate the candidate state against h_prev."""
-    z = ad.sigmoid(_gate_preact(cell.W_z, x, cell.U_z, h_prev))
-    r = ad.sigmoid(_gate_preact(cell.W_r, x, cell.U_r, h_prev))
-    candidate = ad.tanh(
-        _gate_preact(cell.W_h, x, cell.U_h, ad.elementwise_mul(r, h_prev))
-    )
-    return ad.add(
-        ad.elementwise_mul(z, candidate),
-        ad.elementwise_mul(ad.one_minus(z), h_prev),
-    )
+    return ad.gru_cell(x, h_prev, cell.W_z, cell.U_z, cell.W_r, cell.U_r, cell.W_h, cell.U_h)
 
 
 @dataclass

@@ -410,13 +410,6 @@ class _Reader:
             raise CheckpointError("checkpoint text is not valid UTF-8") from None
 
 
-def _dims_from_config(config: dict) -> ModelDims:
-    try:
-        return ModelDims(**{f.name: int(config[f.name]) for f in fields(ModelDims)})
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint config is missing dimension {e}") from None
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild models, language models, and vocabularies; every stored
     record must match the shape implied by the stored config."""
@@ -440,18 +433,24 @@ def load_checkpoint(path) -> Checkpoint:
         values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         records[name] = values.astype(np.float64)
 
-    try:
-        vocab_q_tokens, vocab_a_tokens, lms, config = [json.loads(reader.text()) for _ in range(4)]
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"checkpoint JSON is malformed: {e}") from None
+    blobs = [reader.text() for _ in range(4)]
     if reader.pos != len(reader.data):
         raise CheckpointError(
             f"checkpoint has {len(reader.data) - reader.pos} trailing bytes after its config"
         )
-
-    dims = _dims_from_config(config)
-    vocab_q = Vocabulary.from_tokens(vocab_q_tokens[len(RESERVED_TOKENS):])
-    vocab_a = Vocabulary.from_tokens(vocab_a_tokens[len(RESERVED_TOKENS):])
+    try:
+        vocab_q_tokens, vocab_a_tokens, lms, config = [json.loads(blob) for blob in blobs]
+        dims = ModelDims(**{f.name: int(config[f.name]) for f in fields(ModelDims)})
+        vocab_q = Vocabulary.from_tokens(vocab_q_tokens[len(RESERVED_TOKENS):])
+        vocab_a = Vocabulary.from_tokens(vocab_a_tokens[len(RESERVED_TOKENS):])
+        lm_q = BigramLM.from_dict(lms["question"])
+        lm_a = BigramLM.from_dict(lms["answer"])
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"checkpoint JSON is malformed: {e}") from None
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(
+            f"checkpoint blobs have the wrong structure: {type(e).__name__}: {e}"
+        ) from None
     qa_params, qg_params = init_models(vocab_q.size, vocab_a.size, dims, seed=0)
     expected = named_parameters(qa_params, qg_params)
     if len(expected) != len(records):
@@ -468,6 +467,4 @@ def load_checkpoint(path) -> Checkpoint:
                 f"model needs {tensor.values.shape}"
             )
         tensor.values[...] = stored
-    lm_q = BigramLM.from_dict(lms["question"])
-    lm_a = BigramLM.from_dict(lms["answer"])
     return Checkpoint(qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a, config)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualqa import autodiff as ad
 from dualqa.qa import GRUCellParams, gru_step
@@ -20,9 +21,6 @@ class TestForwardAnchors:
     def test_softmax_uniform_logits(self):
         out = ad.softmax_lastdim(ad.Tensor([1.0, 1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out.values, [0.25, 0.25, 0.25, 0.25], rtol=0, atol=1e-15)
-
-    def test_sigmoid_and_tanh_at_zero(self):
-        assert ad.sigmoid(ad.Tensor([0.0])).values[0] == 0.5
         assert ad.tanh(ad.Tensor([0.0])).values[0] == 0.0
 
     def test_matmul_identity(self):
@@ -90,13 +88,6 @@ class TestBackwardAnchors:
             loss = ad.reduce_sum(ad.elementwise_mul(x, x))
         (gx,) = ad.backward(loss, [x])
         np.testing.assert_array_equal(gx, [2.0, 4.0, 6.0])
-
-    def test_sigmoid_derivative_at_zero(self):
-        x = ad.Tensor(np.asarray(0.0))
-        with ad.ComputationRecord():
-            loss = ad.sigmoid(x)
-        (gx,) = ad.backward(loss, [x])
-        assert gx == pytest.approx(0.25, abs=1e-15)
 
     def test_softmax_nll_closed_form(self):
         z = ad.Tensor([0.3, -1.2, 0.7])
@@ -215,7 +206,7 @@ class TestPrimitiveGradients:
         "add", "add_broadcast", "mul", "mul_broadcast",
         "matmul_mm", "matmul_vm", "matmul_mv", "matmul_vv",
         "concat_axis0", "concat_rows", "row_lookup_single", "row_lookup_list",
-        "sigmoid", "tanh", "softmax", "log", "square", "sum", "scalar_scale",
+        "gru_cell", "tanh", "softmax", "log", "square", "sum", "scalar_scale",
     ])
     def test_matches_finite_differences(self, case):
         rng = np.random.default_rng(hash(case) % (2 ** 32))
@@ -244,7 +235,9 @@ class TestPrimitiveGradients:
                                   lambda p: ad.row_lookup(p[0], 2)),
             "row_lookup_list": (lambda: [_rand(rng, (6, 3))],
                                 lambda p: ad.row_lookup(p[0], [1, 4, 1])),
-            "sigmoid": (lambda: [_rand(rng, (2, 5))], lambda p: ad.sigmoid(p[0])),
+            "gru_cell": (lambda: [_rand(rng, 3), _rand(rng, 4)]
+                         + [_rand(rng, (4, n)) for n in (3, 4) * 3],
+                         lambda p: ad.gru_cell(*p)),
             "tanh": (lambda: [_rand(rng, 7)], lambda p: ad.tanh(p[0])),
             "softmax": (lambda: [_rand(rng, (3, 6))],
                         lambda p: ad.softmax_lastdim(p[0])),
@@ -259,6 +252,66 @@ class TestPrimitiveGradients:
         inputs = make_inputs()
         err = ad.grad_check(_scalarized(op, rng), inputs, epsilon=1e-5, tolerance=1e-4)
         assert err < 1e-4
+
+
+def _reference_gru(x, h, W_z, U_z, W_r, U_r, W_h, U_h):
+    """The GRU update composed from numpy operations; it also evaluates at
+    complex arguments, which gives complex-step derivatives."""
+    z = 1.0 / (1.0 + np.exp(-(W_z @ x + U_z @ h)))
+    r = 1.0 / (1.0 + np.exp(-(W_r @ x + U_r @ h)))
+    c = np.tanh(W_h @ x + U_h @ (r * h))
+    return z * c + (1.0 - z) * h
+
+
+def _complex_step_grads(inputs, probe, step=1e-30):
+    """d sum(probe * gru(inputs)) / d inputs, exact to rounding: no difference is taken."""
+    grads = [np.zeros(v.shape) for v in inputs]
+    for k, v in enumerate(inputs):
+        for idx in np.ndindex(v.shape):
+            bumped = [u.astype(complex) for u in inputs]
+            bumped[k][idx] += step * 1j
+            grads[k][idx] = (probe * _reference_gru(*bumped)).sum().imag / step
+    return grads
+
+
+class TestGRUCell:
+    """The fused cell against the composed numpy reference, gates saturated
+    or not: forward to 1e-12, every input gradient to 1e-10."""
+
+    @staticmethod
+    def _check(inputs):
+        x, h, W_z, U_z, W_r, U_r = inputs[:6]
+        probe = np.linspace(-1.0, 1.5, h.size)
+        tensors = [ad.Tensor(v) for v in inputs]
+        with ad.ComputationRecord():
+            out = ad.gru_cell(*tensors)
+            loss = ad.reduce_sum(ad.elementwise_mul(out, ad.Tensor(probe)))
+        np.testing.assert_allclose(out.values, _reference_gru(*inputs), rtol=1e-12, atol=1e-12)
+        for got, want in zip(ad.backward(loss, tensors), _complex_step_grads(inputs, probe)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        return max(np.abs(W_z @ x + U_z @ h).max(), np.abs(W_r @ x + U_r @ h).max())
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.sampled_from([0.5, 5.0, 40.0]))
+    def test_matches_composed_reference(self, data, n_in, n_h, scale):
+        def draw(shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        weights = [scale * draw((n_h, n)) for n in (n_in, n_h) * 3]
+        self._check([draw(n_in), draw(n_h)] + weights)
+
+    def test_saturated_gates_match_reference(self):
+        rng = np.random.default_rng(5)
+        weights = [40.0 * rng.uniform(-1, 1, size=(4, n)) for n in (3, 4) * 3]
+        assert self._check([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 4)] + weights) >= 40.0
+
+    def test_zero_weights_halve_the_state(self):
+        h = ad.Tensor([0.4, -2.0])
+        weights = [ad.zeros((2, n)) for n in (3, 2) * 3]
+        with ad.ComputationRecord():
+            out = ad.gru_cell(ad.Tensor([1.0, 2.0, 3.0]), h, *weights)
+            loss = ad.reduce_sum(out)
+        np.testing.assert_array_equal(out.values, [0.2, -1.0])
+        np.testing.assert_array_equal(ad.backward(loss, [h])[0], [0.5, 0.5])
 
 
 class TestGradCheck:

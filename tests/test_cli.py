@@ -198,11 +198,15 @@ class TestEvalQA:
         huge = bytearray(data)
         struct.pack_into("<QQ", huge, rank_at + 4, 2**40, 2**24)
         # The config is the last blob and ends with "}".
+        # One byte of the LM blob's first key: valid JSON, wrong structure.
+        lm_key = b'{"answer":{"alpha"'
+        assert data.count(lm_key) == 1
         cases = [
             (data + b"\0" * 8, "8 trailing bytes"),
             (bytes(huge), "truncated checkpoint file"),
             (data[:-1] + b"!", "checkpoint JSON is malformed"),
             (data[:-1] + b"\xff", "checkpoint text is not valid UTF-8"),
+            (data.replace(lm_key, b'{"bnswer":{"alpha"'), "wrong structure: KeyError: 'answer'"),
         ]
         for corrupted, message in cases:
             path = tmp_path / "corrupted.ckpt"

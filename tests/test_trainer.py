@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
-from dualqa import bigram, qa, qg, text, trainer
+from dualqa import bigram, qa, qg, text, toy, trainer
 
 from helpers import (
     TINY_DIMS, make_small_trainer, make_tiny_models, small_corpus, unique_tensors,
@@ -272,6 +272,41 @@ class TestTrainStep:
         dual = make_small_trainer(pairs)
         with pytest.raises(ValueError):
             dual.train_step(text.TrainingBatch([], []))
+
+
+class TestTapeSize:
+    """Deterministic node counts: the GRU update is one tape node, which
+    keeps a toy dual step's record small."""
+
+    def test_gru_step_records_one_node(self):
+        qa_params, _ = make_tiny_models()
+        cell = qa_params.question_fwd
+        with ad.ComputationRecord() as rec:
+            qa.gru_step(cell, ad.Tensor(np.ones(TINY_DIMS.embedding_dim)),
+                        ad.zeros(cell.hidden_dim))
+        assert [node.kind for node in rec.nodes] == ["gru_cell"]
+
+    def test_toy_dual_step_records_at_most_8000_nodes(self, tmp_path):
+        # Acceptance criterion 7's corpus, dims, batch size and seed, lambda 0.1.
+        train_rows, _ = toy.generate_corpus()
+        toy.write_tsv(train_rows, tmp_path / "train.tsv")
+        pairs = text.load_tsv(tmp_path / "train.tsv")
+        positives = [p for p in pairs if p.label == 1]
+        vocab_q = text.build_vocab([p.question_tokens for p in pairs], 200)
+        vocab_a = text.build_vocab([p.answer_tokens for p in pairs], 200)
+        dims = trainer.ModelDims(embedding_dim=20, qa_hidden=12, qg_hidden=16, attention_dim=8)
+        qa_params, qg_params = trainer.init_models(vocab_q.size, vocab_a.size, dims, seed=7)
+        dual = trainer.DualTrainer(
+            qa_params, qg_params,
+            bigram.BigramLM.fit([p.question_tokens for p in positives]),
+            bigram.BigramLM.fit([p.answer_tokens for p in positives]),
+            vocab_q, vocab_a, trainer.TrainerConfig(lambda_q=0.1, lambda_a=0.1))
+        batch = next(text.make_batches(pairs, 16, 10, seed=7))
+        record, objective_qa, objective_qg, *_ = dual._batch_objectives(batch, use_dual=True)
+        # The record both backward walks of train_step see.
+        assert objective_qa._record is record and objective_qg._record is record
+        assert batch.size == 16
+        assert len(record.nodes) <= 8000
 
 
 class TestNamedParameters:
