@@ -7,8 +7,9 @@ recording writes only to the tensor a node creates.
 reverse and returns the gradients of the requested tensors as arrays; it
 leaves the record and the tensors unchanged, so one record can be walked
 for several losses.
-Desk-scale on purpose: float64 everywhere, the GRU update as the one fused
-primitive (``gru_cell``), no sparse storage, no higher-order derivatives.
+Desk-scale on purpose: float64 everywhere, two fused primitives (the GRU
+update ``gru_cell`` and the max-shifted ``log_softmax`` that gives every
+log-probability), no sparse storage, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "gru_cell",
     "tanh",
     "softmax_lastdim",
-    "log",
+    "log_softmax",
     "square",
     "reduce_sum",
     "scalar_scale",
@@ -226,11 +227,9 @@ def _forward_values(kind, vals, ctx):
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
-    if kind == "log":
-        x = vals[0]
-        if np.any(x <= 0.0):
-            raise ValueError("log: inputs must be strictly positive")
-        return np.log(x)
+    if kind == "log_softmax":
+        shifted = vals[0] - vals[0].max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     if kind == "square":
         return vals[0] * vals[0]
     if kind == "sum":
@@ -291,8 +290,9 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _apply("softmax_lastdim", [x])
 
 
-def log(x: Tensor) -> Tensor:
-    return _apply("log", [x])
+def log_softmax(x: Tensor) -> Tensor:
+    """log(softmax(x)) over the last axis, finite wherever ``x`` is."""
+    return _apply("log_softmax", [x])
 
 
 def square(x: Tensor) -> Tensor:
@@ -370,8 +370,8 @@ def _input_grads(node: _Node, g):
         return (g * (1.0 - y * y),)
     if kind == "softmax_lastdim":
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-    if kind == "log":
-        return (g / ins[0].values,)
+    if kind == "log_softmax":
+        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
     if kind == "square":
         return (2.0 * ins[0].values * g,)
     if kind == "sum":

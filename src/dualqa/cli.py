@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+import typing
 from dataclasses import dataclass
 
 from . import metrics, qa, qg, trainer
@@ -56,6 +57,11 @@ class RunConfig:
     early_stop_patience: int | None = 5
 
     def validate(self):
+        hints = typing.get_type_hints(RunConfig)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, hints[f.name]):
+                raise UsageError(f"config field {f.name} must be {f.type}, got {value!r}")
         positive = (
             "embedding_dim", "qa_hidden", "qg_hidden", "attention_dim",
             "cooc_vocab", "cooc_dim", "vocab_size", "batch_size",
@@ -91,6 +97,15 @@ class RunConfig:
 
     def trainer_config(self) -> trainer.TrainerConfig:
         return self._subset(trainer.TrainerConfig)
+
+
+def _has_type(value, declared) -> bool:
+    """Whether a JSON value fits a field's declared type; a ``bool`` is
+    not an ``int``, and an ``int`` is a ``float``."""
+    allowed = typing.get_args(declared) or (declared,)
+    if float in allowed:
+        allowed += (int,)
+    return not isinstance(value, bool) and isinstance(value, allowed)
 
 
 def load_config(path) -> RunConfig:

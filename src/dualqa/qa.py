@@ -4,7 +4,7 @@ Question and answer are encoded by bidirectional GRUs; a pair is
 represented as [v_q; v_a; v_q*v_a; cooc_embedding] and fed to a 2-class
 linear head.  The ranking scalar is tanh of the positive-class
 pre-activation, so ranking, the NLL loss, and the derived conditional
-P(answer | question) all share one score.
+log P(answer | question) all share one score.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "qa_logits_from_vectors",
     "qa_score_from_vectors",
     "qa_nll_loss_from_vectors",
-    "conditional_from_scores",
+    "log_conditional_from_scores",
     "candidate_scores",
     "rank_candidates",
 ]
@@ -201,14 +201,12 @@ def qa_nll_loss_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, label: int,
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     logits = qa_logits_from_vectors(v_q, v_a, cooc_count, params)
-    probs = ad.softmax_lastdim(logits)
-    return ad.scalar_scale(ad.log(ad.row_lookup(probs, int(label))), -1.0)
+    return ad.scalar_scale(ad.row_lookup(ad.log_softmax(logits), int(label)), -1.0)
 
 
-def conditional_from_scores(scores: list[ad.Tensor]) -> ad.Tensor:
-    """First score's softmax share among all given size-1 scores."""
-    probs = ad.softmax_lastdim(ad.concat(scores))
-    return ad.row_lookup(probs, 0)
+def log_conditional_from_scores(scores: list[ad.Tensor]) -> ad.Tensor:
+    """Log of the first score's softmax share among all given size-1 scores."""
+    return ad.row_lookup(ad.log_softmax(ad.concat(scores)), 0)
 
 
 def qa_score(q_ids: list[int], a_ids: list[int], params: QAParams,

@@ -122,15 +122,16 @@ def decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor,
                 history: ad.Tensor, params: QGParams):
     """Advance the decoder one step.
 
-    Returns (distribution over the question vocabulary, new state,
+    Returns (log-probabilities over the question vocabulary, new state,
     attention weights, context vector); the context is the next step's
-    attention history.
+    attention history.  The log-probabilities come from one max-shifted
+    log-softmax, so they are finite even where a probability underflows.
     """
     embedded = ad.row_lookup(params.question_embeddings, int(prev_token_id))
     s_t = gru_step(params.decoder, embedded, state)
     alpha, context = attention_step(s_t, H, history, params)
     logits = ad.matmul(params.output_projection, ad.concat([s_t, context]))
-    return ad.softmax_lastdim(logits), s_t, alpha, context
+    return ad.log_softmax(logits), s_t, alpha, context
 
 
 def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
@@ -142,8 +143,8 @@ def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> a
     prev = SOS_ID
     total = None
     for target in list(q_ids) + [EOS_ID]:
-        dist, state, _, context = decode_step(prev, state, H, history, params)
-        step = ad.log(ad.row_lookup(dist, int(target)))
+        log_probs, state, _, context = decode_step(prev, state, H, history, params)
+        step = ad.row_lookup(log_probs, int(target))
         total = step if total is None else ad.add(total, step)
         history = context
         prev = int(target)
@@ -186,11 +187,11 @@ def greedy_decode(a_ids: list[int], max_len: int, params: QGParams) -> BeamHypot
         rows: list[np.ndarray] = []
         log_prob = 0.0
         for _ in range(max_len):
-            dist, state, alpha, context = decode_step(prev, state, H, history, params)
-            token = int(np.argmax(dist.values))
+            log_probs, state, alpha, context = decode_step(prev, state, H, history, params)
+            token = int(np.argmax(log_probs.values))
             tokens.append(token)
             rows.append(alpha.values.copy())
-            log_prob += float(np.log(dist.values[token]))
+            log_prob += float(log_probs.values[token])
             history = context
             prev = token
             if token == EOS_ID:
@@ -218,17 +219,16 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
             pool = list(finished)
             for beam in live:
                 prev = beam.tokens[-1] if beam.tokens else SOS_ID
-                dist, state, alpha, context = decode_step(prev, beam.state, H,
-                                                           beam.history, params)
-                log_probs = np.log(dist.values)
+                log_probs, state, alpha, context = decode_step(prev, beam.state, H,
+                                                                beam.history, params)
                 # Each live beam contributes at most beam_size extensions.
-                top = np.argsort(-log_probs, kind="stable")[:beam_size]
+                top = np.argsort(-log_probs.values, kind="stable")[:beam_size]
                 row = alpha.values.copy()
                 for token in top:
                     token = int(token)
                     pool.append(_Beam(
                         beam.tokens + [token],
-                        beam.log_prob + float(log_probs[token]),
+                        beam.log_prob + float(log_probs.values[token]),
                         beam.rows + [row],
                         state,
                         context,

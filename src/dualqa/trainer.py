@@ -182,8 +182,8 @@ def dual_loss(log_p_answer: float, seq_lp: ad.Tensor, log_p_question: float,
     log P(a|q) is the log of the gold score's softmax share.  Gradients
     flow through ``seq_lp`` and ``scores``.
     """
-    conditional = qa_mod.conditional_from_scores(scores)
-    return squared_log_gap(log_p_answer, seq_lp, log_p_question, ad.log(conditional))
+    return squared_log_gap(log_p_answer, seq_lp, log_p_question,
+                           qa_mod.log_conditional_from_scores(scores))
 
 
 def _accumulate(total, term):

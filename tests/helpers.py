@@ -3,7 +3,7 @@ in-memory corpus, sized so full finite-difference checks stay fast."""
 
 import numpy as np
 
-from dualqa import bigram, text, trainer
+from dualqa import bigram, text, toy, trainer
 
 TINY_DIMS = trainer.ModelDims(
     embedding_dim=6, qa_hidden=8, qg_hidden=8, attention_dim=5,
@@ -67,3 +67,24 @@ def make_small_trainer(pairs, lambda_q=0.1, lambda_a=0.1, seed=11, dims=TINY_DIM
     qa_params, qg_params = trainer.init_models(vocab_q.size, vocab_a.size, dims, seed=seed)
     config = trainer.TrainerConfig(lambda_q=lambda_q, lambda_a=lambda_a)
     return trainer.DualTrainer(qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a, config)
+
+
+def toy_dual_objectives(tmp_path):
+    """``_batch_objectives`` of one toy dual step: acceptance criterion 7's
+    corpus, dims, batch size and seed, lambda 0.1."""
+    train_rows, _ = toy.generate_corpus()
+    toy.write_tsv(train_rows, tmp_path / "train.tsv")
+    pairs = text.load_tsv(tmp_path / "train.tsv")
+    positives = [p for p in pairs if p.label == 1]
+    vocab_q = text.build_vocab([p.question_tokens for p in pairs], 200)
+    vocab_a = text.build_vocab([p.answer_tokens for p in pairs], 200)
+    dims = trainer.ModelDims(embedding_dim=20, qa_hidden=12, qg_hidden=16, attention_dim=8)
+    qa_params, qg_params = trainer.init_models(vocab_q.size, vocab_a.size, dims, seed=7)
+    dual = trainer.DualTrainer(
+        qa_params, qg_params,
+        bigram.BigramLM.fit([p.question_tokens for p in positives]),
+        bigram.BigramLM.fit([p.answer_tokens for p in positives]),
+        vocab_q, vocab_a, trainer.TrainerConfig(lambda_q=0.1, lambda_a=0.1))
+    batch = next(text.make_batches(pairs, 16, 10, seed=7))
+    assert batch.size == 16
+    return dual._batch_objectives(batch, use_dual=True)

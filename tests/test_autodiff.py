@@ -12,6 +12,8 @@ from hypothesis.extra import numpy as hnp
 from dualqa import autodiff as ad
 from dualqa.qa import GRUCellParams, gru_step
 
+from helpers import toy_dual_objectives
+
 
 def _rand(rng, shape, scale=0.8):
     return ad.Tensor(rng.normal(size=shape) * scale)
@@ -39,6 +41,12 @@ class TestForwardAnchors:
         np.testing.assert_array_equal(ad.row_lookup(table, [2, 0]).values,
                                       [[5.0, 6.0], [1.0, 2.0]])
 
+    def test_log_softmax_large_logits_exact(self):
+        # exp(700) overflows; the max shift leaves log(1 + e^-10) to round.
+        out = ad.log_softmax(ad.Tensor([700.0, 710.0])).values
+        lse = math.log1p(math.exp(-10.0))
+        np.testing.assert_allclose(out, [-10.0 - lse, -lse], rtol=0, atol=2e-15)
+
 
 class TestForwardErrors:
     def test_matmul_shape_mismatch_names_kind_and_shapes(self):
@@ -53,10 +61,6 @@ class TestForwardErrors:
         table = ad.Tensor(np.ones((3, 2)))
         with pytest.raises(IndexError, match="index 5.*3 rows"):
             ad.row_lookup(table, 5)
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            ad.log(ad.Tensor([1.0, 0.0]))
 
     def test_tensor_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -80,6 +84,14 @@ class TestSoftmaxProperties:
         out = ad.softmax_lastdim(ad.Tensor([700.0, 710.0])).values
         assert np.all(np.isfinite(out)) and abs(out.sum() - 1.0) <= 1e-9
 
+    @settings(deadline=None, max_examples=40)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6)),
+                      elements=st.floats(-50, 50)))
+    def test_log_softmax_is_log_of_softmax(self, logits):
+        got = ad.log_softmax(ad.Tensor(logits)).values
+        np.testing.assert_allclose(np.exp(got), ad.softmax_lastdim(ad.Tensor(logits)).values,
+                                   rtol=1e-12, atol=1e-15)
+
 
 class TestBackwardAnchors:
     def test_sum_of_squares(self):
@@ -92,7 +104,7 @@ class TestBackwardAnchors:
     def test_softmax_nll_closed_form(self):
         z = ad.Tensor([0.3, -1.2, 0.7])
         with ad.ComputationRecord():
-            loss = ad.scalar_scale(ad.log(ad.row_lookup(ad.softmax_lastdim(z), 2)), -1.0)
+            loss = ad.scalar_scale(ad.row_lookup(ad.log_softmax(z), 2), -1.0)
         (gz,) = ad.backward(loss, [z])
         shifted = np.exp(z.values - z.values.max())
         softmax = shifted / shifted.sum()
@@ -198,60 +210,68 @@ def _scalarized(op, rng):
     return build
 
 
+# Each primitive's gradient-check case: inputs drawn from an rng, and the op.
+PRIMITIVE_CASES = {
+    "add": (lambda rng: [_rand(rng, (4, 5)), _rand(rng, (4, 5))],
+            lambda p: ad.add(p[0], p[1])),
+    "add_broadcast": (lambda rng: [_rand(rng, (4, 5)), _rand(rng, 5)],
+                      lambda p: ad.add(p[0], p[1])),
+    "mul": (lambda rng: [_rand(rng, 6), _rand(rng, 6)],
+            lambda p: ad.elementwise_mul(p[0], p[1])),
+    "mul_broadcast": (lambda rng: [_rand(rng, (3, 4)), _rand(rng, 4)],
+                      lambda p: ad.elementwise_mul(p[0], p[1])),
+    "matmul_mm": (lambda rng: [_rand(rng, (3, 4)), _rand(rng, (4, 2))],
+                  lambda p: ad.matmul(p[0], p[1])),
+    "matmul_vm": (lambda rng: [_rand(rng, 4), _rand(rng, (4, 3))],
+                  lambda p: ad.matmul(p[0], p[1])),
+    "matmul_mv": (lambda rng: [_rand(rng, (3, 4)), _rand(rng, 4)],
+                  lambda p: ad.matmul(p[0], p[1])),
+    "matmul_vv": (lambda rng: [_rand(rng, 5), _rand(rng, 5)],
+                  lambda p: ad.matmul(p[0], p[1])),
+    "concat_axis0": (lambda rng: [_rand(rng, 3), _rand(rng, 4)],
+                     lambda p: ad.concat(p)),
+    "concat_rows": (lambda rng: [_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)],
+                    lambda p: ad.concat(p, axis="rows")),
+    "row_lookup_single": (lambda rng: [_rand(rng, (6, 3))],
+                          lambda p: ad.row_lookup(p[0], 2)),
+    "row_lookup_list": (lambda rng: [_rand(rng, (6, 3))],
+                        lambda p: ad.row_lookup(p[0], [1, 4, 1])),
+    "gru_cell": (lambda rng: [_rand(rng, 3), _rand(rng, 4)]
+                 + [_rand(rng, (4, n)) for n in (3, 4) * 3],
+                 lambda p: ad.gru_cell(*p)),
+    "tanh": (lambda rng: [_rand(rng, 7)], lambda p: ad.tanh(p[0])),
+    "softmax": (lambda rng: [_rand(rng, (3, 6))],
+                lambda p: ad.softmax_lastdim(p[0])),
+    "log_softmax": (lambda rng: [_rand(rng, (3, 6))],
+                    lambda p: ad.log_softmax(p[0])),
+    "square": (lambda rng: [_rand(rng, (4, 2))], lambda p: ad.square(p[0])),
+    "sum": (lambda rng: [_rand(rng, (3, 3))], lambda p: ad.reduce_sum(p[0])),
+    "scalar_scale": (lambda rng: [_rand(rng, 5)],
+                     lambda p: ad.scalar_scale(p[0], -1.7)),
+}
+
+
 class TestPrimitiveGradients:
     """Central differences at eps=1e-5 within 1e-4 for every primitive on
     random tensors with dims <= 8."""
 
-    @pytest.mark.parametrize("case", [
-        "add", "add_broadcast", "mul", "mul_broadcast",
-        "matmul_mm", "matmul_vm", "matmul_mv", "matmul_vv",
-        "concat_axis0", "concat_rows", "row_lookup_single", "row_lookup_list",
-        "gru_cell", "tanh", "softmax", "log", "square", "sum", "scalar_scale",
-    ])
+    @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))
     def test_matches_finite_differences(self, case):
         rng = np.random.default_rng(hash(case) % (2 ** 32))
-        build_map = {
-            "add": (lambda: [_rand(rng, (4, 5)), _rand(rng, (4, 5))],
-                    lambda p: ad.add(p[0], p[1])),
-            "add_broadcast": (lambda: [_rand(rng, (4, 5)), _rand(rng, 5)],
-                              lambda p: ad.add(p[0], p[1])),
-            "mul": (lambda: [_rand(rng, 6), _rand(rng, 6)],
-                    lambda p: ad.elementwise_mul(p[0], p[1])),
-            "mul_broadcast": (lambda: [_rand(rng, (3, 4)), _rand(rng, 4)],
-                              lambda p: ad.elementwise_mul(p[0], p[1])),
-            "matmul_mm": (lambda: [_rand(rng, (3, 4)), _rand(rng, (4, 2))],
-                          lambda p: ad.matmul(p[0], p[1])),
-            "matmul_vm": (lambda: [_rand(rng, 4), _rand(rng, (4, 3))],
-                          lambda p: ad.matmul(p[0], p[1])),
-            "matmul_mv": (lambda: [_rand(rng, (3, 4)), _rand(rng, 4)],
-                          lambda p: ad.matmul(p[0], p[1])),
-            "matmul_vv": (lambda: [_rand(rng, 5), _rand(rng, 5)],
-                          lambda p: ad.matmul(p[0], p[1])),
-            "concat_axis0": (lambda: [_rand(rng, 3), _rand(rng, 4)],
-                             lambda p: ad.concat(p)),
-            "concat_rows": (lambda: [_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)],
-                            lambda p: ad.concat(p, axis="rows")),
-            "row_lookup_single": (lambda: [_rand(rng, (6, 3))],
-                                  lambda p: ad.row_lookup(p[0], 2)),
-            "row_lookup_list": (lambda: [_rand(rng, (6, 3))],
-                                lambda p: ad.row_lookup(p[0], [1, 4, 1])),
-            "gru_cell": (lambda: [_rand(rng, 3), _rand(rng, 4)]
-                         + [_rand(rng, (4, n)) for n in (3, 4) * 3],
-                         lambda p: ad.gru_cell(*p)),
-            "tanh": (lambda: [_rand(rng, 7)], lambda p: ad.tanh(p[0])),
-            "softmax": (lambda: [_rand(rng, (3, 6))],
-                        lambda p: ad.softmax_lastdim(p[0])),
-            "log": (lambda: [ad.Tensor(rng.uniform(0.2, 3.0, size=6))],
-                    lambda p: ad.log(p[0])),
-            "square": (lambda: [_rand(rng, (4, 2))], lambda p: ad.square(p[0])),
-            "sum": (lambda: [_rand(rng, (3, 3))], lambda p: ad.reduce_sum(p[0])),
-            "scalar_scale": (lambda: [_rand(rng, 5)],
-                             lambda p: ad.scalar_scale(p[0], -1.7)),
-        }
-        make_inputs, op = build_map[case]
-        inputs = make_inputs()
-        err = ad.grad_check(_scalarized(op, rng), inputs, epsilon=1e-5, tolerance=1e-4)
+        make_inputs, op = PRIMITIVE_CASES[case]
+        err = ad.grad_check(_scalarized(op, rng), make_inputs(rng), epsilon=1e-5, tolerance=1e-4)
         assert err < 1e-4
+
+    def test_cases_cover_every_kind_a_toy_dual_step_records(self, tmp_path):
+        checked = set()
+        for make_inputs, op in PRIMITIVE_CASES.values():
+            with ad.ComputationRecord() as rec:
+                op(make_inputs(np.random.default_rng(0)))
+            checked.update(node.kind for node in rec.nodes)
+        record, *_ = toy_dual_objectives(tmp_path)
+        recorded = {node.kind for node in record.nodes}
+        assert "log_softmax" in recorded
+        assert recorded <= checked, recorded - checked
 
 
 def _reference_gru(x, h, W_z, U_z, W_r, U_r, W_h, U_h):
@@ -321,7 +341,7 @@ class TestGradCheck:
 
         def build(params):
             logits = ad.add(ad.matmul(params[0], params[2]), params[1])
-            return ad.scalar_scale(ad.log(ad.row_lookup(ad.softmax_lastdim(logits), 1)), -1.0)
+            return ad.scalar_scale(ad.row_lookup(ad.log_softmax(logits), 1), -1.0)
 
         assert ad.grad_check(build, [W, b, v], epsilon=1e-5) < 1e-4
 
@@ -374,5 +394,6 @@ class TestOutputsFinite:
         x = ad.Tensor(raw)
         out = ad.softmax_lastdim(ad.tanh(ad.square(x)))
         assert np.all(np.isfinite(out.values))
-        out2 = ad.log(out)
+        # Logits up to 900 apart: softmax underflows, log_softmax does not.
+        out2 = ad.log_softmax(ad.square(x))
         assert np.all(np.isfinite(out2.values))

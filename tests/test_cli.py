@@ -102,6 +102,18 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "absent.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("embedding_dim", "20"), ("lambda_q", None), ("max_epochs", 1.5), ("batch_size", True),
+    ])
+    def test_config_value_of_wrong_type_is_1(self, tmp_path, capsys, field, value):
+        write_toy(tmp_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, **{field: value})))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field " + field)
+        assert not (tmp_path / "ckpt").exists()
+
     def test_missing_checkpoint_is_2(self, tmp_path):
         assert cli.main(["eval-qa", "--checkpoint", str(tmp_path / "no.ckpt"),
                          "--data", str(tmp_path / "no.tsv")]) == 2

@@ -112,6 +112,19 @@ class TestNLLLoss:
         for label in (0, 1):
             assert nll(Q_IDS, A_IDS, label, models[0], 2).item() >= 0.0
 
+    def test_finite_where_the_probability_underflows(self, models):
+        # exp(-800) is 0 in float64: log of the softmax share would be -inf.
+        qa_params, _ = models
+        qa_params.output_bias.values[:] = [0.0, 800.0]
+        v_q = qa.encode_bigru(Q_IDS, "question", qa_params)
+        v_a = qa.encode_bigru(A_IDS, "answer", qa_params)
+        logits = qa.qa_logits_from_vectors(v_q, v_a, 2, qa_params).values
+        lse = logits.max() + math.log(np.exp(logits - logits.max()).sum())
+        for label in (0, 1):
+            got = qa.qa_nll_loss_from_vectors(v_q, v_a, label, 2, qa_params).item()
+            assert math.isfinite(got)
+            assert got == pytest.approx(lse - logits[label], rel=1e-12, abs=1e-12)
+
     def test_bad_label_rejected(self, models):
         with pytest.raises(ValueError, match="label"):
             nll(Q_IDS, A_IDS, 2, models[0], 0)
@@ -131,8 +144,8 @@ class TestConditional:
         qa_params, _ = make_tiny_models(seed=0)
         zero_all(qa_params)
         answers = [A_IDS, [5, 6], [7, 8, 9], [10]]
-        prob = qa.conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
-        assert prob == pytest.approx(0.25, abs=1e-12)
+        log_prob = qa.log_conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
+        assert math.exp(log_prob) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_explicit_softmax_of_scores(self, models):
         qa_params, _ = models
@@ -140,12 +153,12 @@ class TestConditional:
         with ad.no_recording():
             gold, *others = [qa.qa_score(Q_IDS, a, qa_params, 0).item() for a in answers]
         expected = math.exp(gold) / (math.exp(gold) + sum(math.exp(s) for s in others))
-        got = qa.conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
-        assert got == pytest.approx(expected, rel=1e-12)
+        got = qa.log_conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
+        assert math.exp(got) == pytest.approx(expected, rel=1e-12)
 
     def test_strictly_inside_unit_interval(self, models):
         scores = scores_for(Q_IDS, [A_IDS, [5], [6, 7]], models[0])
-        got = qa.conditional_from_scores(scores).item()
+        got = math.exp(qa.log_conditional_from_scores(scores).item())
         assert 0.0 < got < 1.0
 
     def test_members_ratios_sum_to_one(self, models):
@@ -154,7 +167,7 @@ class TestConditional:
         total = 0.0
         for i in range(len(scores)):
             rotated = [scores[i]] + scores[:i] + scores[i + 1:]
-            total += qa.conditional_from_scores(rotated).item()
+            total += math.exp(qa.log_conditional_from_scores(rotated).item())
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_contrast_rejected(self):

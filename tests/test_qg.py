@@ -3,12 +3,13 @@ teacher-forced likelihood anchors, beam search contracts, and UNK
 replacement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dualqa import autodiff as ad
-from dualqa import qg, text
+from dualqa import qa, qg, text
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
 from helpers import make_small_trainer, make_tiny_models, small_corpus, zero_all
@@ -20,6 +21,14 @@ A_IDS = [5, 8, 10]
 @pytest.fixture
 def models():
     return make_tiny_models(seed=3)
+
+
+def sharpened_models():
+    """A generator whose output logits span thousands of nats, so most
+    tokens' probabilities underflow to zero in float64."""
+    _, qg_params = make_tiny_models(seed=0)
+    qg_params.output_projection.values *= 5000.0
+    return qg_params
 
 
 class TestEncodeAnswer:
@@ -85,10 +94,12 @@ class TestDecodeStep:
     def test_distribution_over_question_vocab(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer(A_IDS, qg_params)
-        dist, state, alpha, context = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
+        log_probs, state, alpha, context = qg.decode_step(
+            2, s0, H, ad.zeros(H.shape[1]), qg_params)
+        dist = np.exp(log_probs.values)
         assert dist.shape == (qg_params.output_projection.shape[0],)
-        assert dist.values.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(dist.values >= 0)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(dist >= 0)
         assert state.shape == s0.shape
         assert alpha.shape == (len(A_IDS),)
         np.testing.assert_allclose(context.values, alpha.values @ H.values, atol=1e-12)
@@ -97,9 +108,10 @@ class TestDecodeStep:
         _, qg_params = make_tiny_models(seed=0)
         qg_params.output_projection.values[...] = 0.0
         H, s0 = qg.encode_answer(A_IDS, qg_params)
-        dist, _, _, _ = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
+        log_probs, _, _, _ = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
         vocab = qg_params.output_projection.shape[0]
-        np.testing.assert_allclose(dist.values, np.full(vocab, 1.0 / vocab), atol=1e-15)
+        np.testing.assert_allclose(np.exp(log_probs.values), np.full(vocab, 1.0 / vocab),
+                                   atol=1e-15)
 
     def test_invalid_token_rejected(self, models):
         _, qg_params = models
@@ -131,6 +143,28 @@ class TestSequenceLogProb:
     def test_empty_question_rejected(self, models):
         with pytest.raises(ValueError, match="empty"):
             qg.sequence_log_prob([], A_IDS, models[1])
+
+    def test_finite_where_probabilities_underflow(self):
+        q_ids, a_ids = [4, 5, 6], [6, 7]
+        qg_params = sharpened_models()
+        got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
+        # The same decoder steps, scored by a numpy log-sum-exp of each logit row.
+        expected = 0.0
+        with ad.no_recording():
+            H, state = qg.encode_answer(a_ids, qg_params)
+            history, prev = ad.zeros(H.shape[1]), text.SOS_ID
+            for target in q_ids + [EOS_ID]:
+                state = qa.gru_step(qg_params.decoder, ad.row_lookup(
+                    qg_params.question_embeddings, prev), state)
+                _, history = qg.attention_step(state, H, history, qg_params)
+                logits = qg_params.output_projection.values @ np.concatenate(
+                    [state.values, history.values])
+                shift = logits.max()
+                expected += logits[target] - shift - math.log(np.exp(logits - shift).sum())
+                prev = target
+        assert expected < -700.0  # some step's probability is below float64's range
+        assert math.isfinite(got)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_nll_is_negation(self, tmp_path):
         # The generation loss the trainer reports is the batch mean of
@@ -187,6 +221,15 @@ class TestBeamSearch:
             for row in h.attention_rows:
                 assert row.sum() == pytest.approx(1.0, abs=1e-9)
                 assert len(row) == len(A_IDS)
+
+    def test_beam_wider_than_vocabulary_scores_finite(self):
+        qg_params = sharpened_models()
+        vocab = qg_params.output_projection.shape[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hyps = qg.beam_search([6, 7], vocab, 1, qg_params)
+        assert len(hyps) == vocab
+        assert all(math.isfinite(h.log_prob) for h in hyps)
 
     def test_invalid_sizes_rejected(self, models):
         with pytest.raises(ValueError):
