@@ -2,7 +2,9 @@
 
 A small tape-based engine: primitives compute eagerly on numpy arrays
 and, while a :class:`ComputationRecord` is active, append nodes to it;
-recording writes only to the tensor a node creates.
+recording writes only to the tensor a node creates.  Each primitive is
+one function holding its forward computation and its gradient rule, a
+closure over the arrays the rule needs, which the recorded node carries.
 ``backward(loss, wrt)`` walks the record that produced ``loss`` once in
 reverse and returns the gradients of the requested tensors as arrays; it
 leaves the record and the tensors unchanged, so one record can be walked
@@ -94,20 +96,21 @@ def zeros(shape) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "inputs", "output", "ctx")
+    """One primitive application.  ``vjp`` is its gradient rule: given the
+    gradient of ``output`` it returns each input's contribution, in input
+    order; ``row_lookup``'s contribution is a (rows, gradient) pair that
+    the walk scatters into the table's gradient."""
 
-    def __init__(self, kind, inputs, output, ctx):
+    __slots__ = ("kind", "inputs", "output", "vjp")
+
+    def __init__(self, kind, inputs, output, vjp):
         self.kind = kind
         self.inputs = inputs
         self.output = output
-        self.ctx = ctx
+        self.vjp = vjp
 
 
 _STACK: list["ComputationRecord | None"] = []
-
-
-def _active() -> "ComputationRecord | None":
-    return _STACK[-1] if _STACK else None
 
 
 class no_recording:
@@ -143,12 +146,19 @@ class ComputationRecord:
             raise RuntimeError("mismatched ComputationRecord nesting")
         return False
 
-    def add_node(self, kind, inputs, output, ctx):
-        output._record = self
-        self.nodes.append(_Node(kind, list(inputs), output, ctx))
-
     def clear(self):
         self.nodes.clear()
+
+
+def _emit(kind, inputs, values, vjp) -> Tensor:
+    """Wrap a primitive's result and, while a record is active, append
+    the node that gives it the gradient rule ``vjp``."""
+    out = _wrap(values)
+    rec = _STACK[-1] if _STACK else None
+    if rec is not None:
+        out._record = rec
+        rec.nodes.append(_Node(kind, inputs, out, vjp))
+    return out
 
 
 def _check_broadcast(kind, a, b):
@@ -158,153 +168,6 @@ def _check_broadcast(kind, a, b):
         raise ValueError(
             f"{kind}: incompatible shapes {a.shape} and {b.shape}"
         ) from None
-
-
-def _stable_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _forward_values(kind, vals, ctx):
-    if kind == "add":
-        a, b = vals
-        _check_broadcast("add", a, b)
-        return a + b
-    if kind == "elementwise_mul":
-        a, b = vals
-        _check_broadcast("elementwise_mul", a, b)
-        return a * b
-    if kind == "matmul":
-        a, b = vals
-        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-            raise ValueError(f"matmul: only 1-D/2-D operands, got {a.shape} and {b.shape}")
-        if a.shape[-1] != b.shape[0]:
-            raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        return a @ b
-    if kind == "concat":
-        axis = ctx["axis"]
-        if not vals:
-            raise ValueError("concat: needs at least one input")
-        if axis == "rows":
-            if any(v.ndim != 1 for v in vals) or len({v.shape[0] for v in vals}) != 1:
-                raise ValueError(
-                    "concat: row stacking needs equal-length vectors, got "
-                    f"{[v.shape for v in vals]}"
-                )
-            return np.stack(vals, axis=0)
-        try:
-            return np.concatenate(vals, axis=axis)
-        except ValueError as e:
-            raise ValueError(f"concat: {e}") from None
-    if kind == "row_lookup":
-        (table,) = vals
-        idx = ctx["indices"]
-        n = table.shape[0]
-        for i in idx:
-            if not 0 <= i < n:
-                raise IndexError(
-                    f"row_lookup: index {i} out of range for table with {n} rows"
-                )
-        out = table[idx[0]] if ctx["single"] else table[idx]
-        return np.array(out, dtype=np.float64)
-    if kind == "gru_cell":
-        x, h, W_z, U_z, W_r, U_r, W_h, U_h = vals
-        z = ctx["z"] = _stable_sigmoid(W_z @ x + U_z @ h)
-        r = ctx["r"] = _stable_sigmoid(W_r @ x + U_r @ h)
-        rh = ctx["rh"] = r * h
-        c = ctx["c"] = np.tanh(W_h @ x + U_h @ rh)
-        return z * c + (1.0 - z) * h
-    if kind == "tanh":
-        return np.tanh(vals[0])
-    if kind == "softmax_lastdim":
-        x = vals[0]
-        if x.ndim < 1:
-            raise ValueError("softmax_lastdim: needs at least one dimension")
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
-    if kind == "log_softmax":
-        shifted = vals[0] - vals[0].max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    if kind == "square":
-        return vals[0] * vals[0]
-    if kind == "sum":
-        return np.asarray(vals[0].sum())
-    if kind == "scalar_scale":
-        return vals[0] * ctx["factor"]
-    raise ValueError(f"unknown primitive kind: {kind!r}")
-
-
-def _apply(kind, inputs, ctx=None) -> Tensor:
-    ctx = ctx or {}
-    out = _wrap(_forward_values(kind, [t.values for t in inputs], ctx))
-    rec = _active()
-    if rec is not None:
-        rec.add_node(kind, inputs, out, ctx)
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("add", [a, b])
-
-
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("elementwise_mul", [a, b])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _apply("matmul", [a, b])
-
-
-def concat(parts, axis=0) -> Tensor:
-    """Concatenate along ``axis``; ``axis="rows"`` stacks equal-length
-    vectors into a matrix (one row per input)."""
-    return _apply("concat", list(parts), {"axis": axis})
-
-
-def row_lookup(table: Tensor, indices) -> Tensor:
-    """Select rows of ``table``.  An int index returns a single row; a
-    sequence returns one row per entry."""
-    single = isinstance(indices, (int, np.integer))
-    idx = [int(indices)] if single else [int(i) for i in indices]
-    return _apply("row_lookup", [table], {"indices": idx, "single": single})
-
-
-def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
-             U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
-    """One bias-free GRU update (Cho et al. 2014) as a single node:
-    z = sigmoid(W_z x + U_z h), r = sigmoid(W_r x + U_r h),
-    c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h."""
-    return _apply("gru_cell", [x, h, W_z, U_z, W_r, U_r, W_h, U_h])
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _apply("tanh", [x])
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    return _apply("softmax_lastdim", [x])
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    """log(softmax(x)) over the last axis, finite wherever ``x`` is."""
-    return _apply("log_softmax", [x])
-
-
-def square(x: Tensor) -> Tensor:
-    return _apply("square", [x])
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    return _apply("sum", [x])
-
-
-def scalar_scale(x: Tensor, factor: float) -> Tensor:
-    return _apply("scalar_scale", [x], {"factor": float(factor)})
 
 
 def _unbroadcast(grad, shape):
@@ -318,45 +181,97 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _input_grads(node: _Node, g):
-    """The node's contribution to the gradient of each of its inputs, in
-    input order, given the gradient ``g`` of its output.  For
-    ``row_lookup`` the contribution is ``g`` itself, which the walk
-    scatters into the looked-up rows."""
-    kind, ins, ctx = node.kind, node.inputs, node.ctx
-    y = node.output.values
-    if kind == "add":
-        a, b = ins
-        return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
-    if kind == "elementwise_mul":
-        a, b = ins
-        return (_unbroadcast(g * b.values, a.values.shape),
-                _unbroadcast(g * a.values, b.values.shape))
-    if kind == "matmul":
-        av, bv = ins[0].values, ins[1].values
-        if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
-        if av.ndim == 1 and bv.ndim == 2:
+def _stable_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast("add", a, b)
+    av, bv = a.values, b.values
+    return _emit("add", (a, b), av + bv,
+                 lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)))
+
+
+def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
+    _check_broadcast("elementwise_mul", a, b)
+    av, bv = a.values, b.values
+    return _emit("elementwise_mul", (a, b), av * bv,
+                 lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix-matrix, vector-matrix or matrix-vector product."""
+    av, bv = a.values, b.values
+    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
+        raise ValueError(f"matmul: only 1-D/2-D operands, got {a.shape} and {b.shape}")
+    if av.ndim == bv.ndim == 1:
+        raise ValueError(f"matmul: needs a 2-D operand, got {a.shape} and {b.shape}")
+    if av.shape[-1] != bv.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+
+    def vjp(g):
+        if av.ndim == 1:
             return bv @ g, np.outer(av, g)
-        if av.ndim == 2 and bv.ndim == 1:
+        if bv.ndim == 1:
             return np.outer(g, bv), av.T @ g
-        return g * bv, g * av
-    if kind == "concat":
-        axis = ctx["axis"]
-        if axis == "rows":
-            return list(g)
-        lead = (slice(None),) * (axis % g.ndim)
-        parts, offset = [], 0
-        for t in ins:
-            n = t.values.shape[axis]
-            parts.append(g[lead + (slice(offset, offset + n),)])
-            offset += n
-        return parts
-    if kind == "row_lookup":
-        return (g,)
-    if kind == "gru_cell":
-        x, h, W_z, U_z, W_r, U_r, W_h, U_h = (t.values for t in ins)
-        z, r, rh, c = ctx["z"], ctx["r"], ctx["rh"], ctx["c"]
+        return g @ bv.T, av.T @ g
+    return _emit("matmul", (a, b), av @ bv, vjp)
+
+
+def concat(parts, axis=0) -> Tensor:
+    """Join vectors end to end (``axis=0``), or stack equal-length
+    vectors into a matrix, one row per input (``axis="rows"``)."""
+    parts = tuple(parts)
+    vals = [t.values for t in parts]
+    if axis not in (0, "rows"):
+        raise ValueError(f"concat: axis must be 0 or 'rows', got {axis!r}")
+    if not vals:
+        raise ValueError("concat: needs at least one input")
+    if axis == "rows":
+        if any(v.ndim != 1 for v in vals) or len({v.shape[0] for v in vals}) != 1:
+            raise ValueError("concat: row stacking needs equal-length vectors, got "
+                             f"{[v.shape for v in vals]}")
+        return _emit("concat", parts, np.stack(vals, axis=0), list)
+    ends = [0]
+    for v in vals:
+        if v.ndim != 1:
+            raise ValueError(f"concat: parts must be vectors, got {[v.shape for v in vals]}")
+        ends.append(ends[-1] + v.size)
+    return _emit("concat", parts, np.concatenate(vals),
+                 lambda g: [g[i:j] for i, j in zip(ends, ends[1:])])
+
+
+def row_lookup(table: Tensor, indices) -> Tensor:
+    """Select rows of ``table``.  An int index returns a single row; a
+    sequence returns one row per entry."""
+    single = isinstance(indices, (int, np.integer))
+    rows = int(indices) if single else [int(i) for i in indices]
+    n = table.shape[0]
+    for i in [rows] if single else rows:
+        if not 0 <= i < n:
+            raise IndexError(f"row_lookup: index {i} out of range for table with {n} rows")
+    return _emit("row_lookup", (table,), np.array(table.values[rows], dtype=np.float64),
+                 lambda g: ((rows, g),))
+
+
+def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
+             U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
+    """One bias-free GRU update (Cho et al. 2014) as a single node:
+    z = sigmoid(W_z x + U_z h), r = sigmoid(W_r x + U_r h),
+    c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h."""
+    inputs = (x, h, W_z, U_z, W_r, U_r, W_h, U_h)
+    x, h, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
+    z = _stable_sigmoid(W_z @ x + U_z @ h)
+    r = _stable_sigmoid(W_r @ x + U_r @ h)
+    rh = r * h
+    c = np.tanh(W_h @ x + U_h @ rh)
+
+    def vjp(g):
         # Gradients of the three pre-activations, then of the cell's inputs.
         a_h = g * z * (1.0 - c * c)
         a_z = g * (c - h) * z * (1.0 - z)
@@ -366,19 +281,44 @@ def _input_grads(node: _Node, g):
                 g * (1.0 - z) + g_rh * r + U_z.T @ a_z + U_r.T @ a_r,
                 np.outer(a_z, x), np.outer(a_z, h), np.outer(a_r, x),
                 np.outer(a_r, h), np.outer(a_h, x), np.outer(a_h, rh))
-    if kind == "tanh":
-        return (g * (1.0 - y * y),)
-    if kind == "softmax_lastdim":
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-    if kind == "log_softmax":
-        return (g - np.exp(y) * g.sum(axis=-1, keepdims=True),)
-    if kind == "square":
-        return (2.0 * ins[0].values * g,)
-    if kind == "sum":
-        return (g,)
-    if kind == "scalar_scale":
-        return (ctx["factor"] * g,)
-    raise ValueError(f"unknown primitive kind: {kind!r}")  # pragma: no cover
+    return _emit("gru_cell", inputs, z * c + (1.0 - z) * h, vjp)
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.values)
+    return _emit("tanh", (x,), y, lambda g: (g * (1.0 - y * y),))
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    v = x.values
+    if v.ndim < 1:
+        raise ValueError("softmax_lastdim: needs at least one dimension")
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _emit("softmax_lastdim", (x,), y,
+                 lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+
+
+def log_softmax(x: Tensor) -> Tensor:
+    """log(softmax(x)) over the last axis, finite wherever ``x`` is."""
+    shifted = x.values - x.values.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return _emit("log_softmax", (x,), y,
+                 lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
+
+
+def square(x: Tensor) -> Tensor:
+    v = x.values
+    return _emit("square", (x,), v * v, lambda g: (2.0 * v * g,))
+
+
+def reduce_sum(x: Tensor) -> Tensor:
+    return _emit("sum", (x,), np.asarray(x.values.sum()), lambda g: (g,))
+
+
+def scalar_scale(x: Tensor, factor: float) -> Tensor:
+    factor = float(factor)
+    return _emit("scalar_scale", (x,), x.values * factor, lambda g: (factor * g,))
 
 
 def backward(loss: Tensor, wrt) -> list[np.ndarray]:
@@ -402,14 +342,13 @@ def backward(loss: Tensor, wrt) -> list[np.ndarray]:
         g = grads.get(id(node.output))
         if g is None or not g.any():
             continue
-        for t, part in zip(node.inputs, _input_grads(node, g)):
+        for t, part in zip(node.inputs, node.vjp(g)):
             buf = grads.get(id(t))
             if buf is None:
                 # Zeros then add: ``part`` may be a view of ``g``.
                 buf = grads[id(t)] = np.zeros(t.values.shape)
             if node.kind == "row_lookup":
-                idx = node.ctx["indices"]
-                np.add.at(buf, idx[0] if node.ctx["single"] else idx, part)
+                np.add.at(buf, *part)
             else:
                 buf += part
     return [grads[id(t)] if id(t) in grads else np.zeros(t.values.shape) for t in wrt]

@@ -2,6 +2,7 @@
 and finite-difference agreement for every primitive."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ class TestForwardErrors:
     def test_matmul_shape_mismatch_names_kind_and_shapes(self):
         with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(2,\)"):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(2)))
+
+    def test_matmul_of_two_vectors_rejected(self):
+        with pytest.raises(ValueError, match=r"matmul.*\(3,\).*\(3,\)"):
+            ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)))
+
+    def test_concat_joins_only_vectors(self):
+        matrices = [ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3)))]
+        vectors = [ad.Tensor(np.ones(3)), ad.Tensor(np.ones(2))]
+        for parts, axis in ((matrices, 0), (matrices, 1), (vectors, -1)):
+            with pytest.raises(ValueError, match="concat"):
+                ad.concat(parts, axis=axis)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"add.*\(3,\).*\(4,\)"):
@@ -226,8 +238,6 @@ PRIMITIVE_CASES = {
                   lambda p: ad.matmul(p[0], p[1])),
     "matmul_mv": (lambda rng: [_rand(rng, (3, 4)), _rand(rng, 4)],
                   lambda p: ad.matmul(p[0], p[1])),
-    "matmul_vv": (lambda rng: [_rand(rng, 5), _rand(rng, 5)],
-                  lambda p: ad.matmul(p[0], p[1])),
     "concat_axis0": (lambda rng: [_rand(rng, 3), _rand(rng, 4)],
                      lambda p: ad.concat(p)),
     "concat_rows": (lambda rng: [_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)],
@@ -257,7 +267,7 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))
     def test_matches_finite_differences(self, case):
-        rng = np.random.default_rng(hash(case) % (2 ** 32))
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
         make_inputs, op = PRIMITIVE_CASES[case]
         err = ad.grad_check(_scalarized(op, rng), make_inputs(rng), epsilon=1e-5, tolerance=1e-4)
         assert err < 1e-4
