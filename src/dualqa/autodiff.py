@@ -340,7 +340,7 @@ def backward(loss: Tensor, wrt) -> list[np.ndarray]:
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     for node in reversed(rec.nodes):
         g = grads.get(id(node.output))
-        if g is None or not g.any():
+        if g is None:
             continue
         for t, part in zip(node.inputs, node.vjp(g)):
             buf = grads.get(id(t))

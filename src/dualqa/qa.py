@@ -62,25 +62,6 @@ class GRUCellParams:
     def hidden_dim(self) -> int:
         return self.W_z.shape[0]
 
-    @classmethod
-    def create(cls, input_dim: int, hidden_dim: int,
-               rng: np.random.Generator) -> "GRUCellParams":
-        def mat(rows, cols):
-            return glorot_uniform(rng, (rows, cols))
-
-        return cls(
-            W_z=mat(hidden_dim, input_dim), U_z=mat(hidden_dim, hidden_dim),
-            W_r=mat(hidden_dim, input_dim), U_r=mat(hidden_dim, hidden_dim),
-            W_h=mat(hidden_dim, input_dim), U_h=mat(hidden_dim, hidden_dim),
-        )
-
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.W_z", self.W_z), (f"{prefix}.U_z", self.U_z),
-            (f"{prefix}.W_r", self.W_r), (f"{prefix}.U_r", self.U_r),
-            (f"{prefix}.W_h", self.W_h), (f"{prefix}.U_h", self.U_h),
-        ]
-
 
 def gru_step(cell: GRUCellParams, x: ad.Tensor, h_prev: ad.Tensor) -> ad.Tensor:
     """One GRU update: z and r gate the candidate state against h_prev."""
@@ -91,9 +72,10 @@ def gru_step(cell: GRUCellParams, x: ad.Tensor, h_prev: ad.Tensor) -> ad.Tensor:
 class QAParams:
     """All trainable tensors of the answer-selection model.
 
-    The embedding matrices may be shared with the generation model; the
+    The embedding matrices are the ones the generation model holds; the
     feature dimension is 6*hidden + cooc_dim (v_q, v_a, v_q*v_a, cooc
-    embedding).
+    embedding).  ``trainer.parameter_layout`` gives every tensor's
+    record name and shape.
     """
 
     question_embeddings: ad.Tensor
@@ -105,42 +87,6 @@ class QAParams:
     cooc_table: ad.Tensor
     output_weights: ad.Tensor
     output_bias: ad.Tensor
-
-    @classmethod
-    def create(cls, question_embeddings: ad.Tensor, answer_embeddings: ad.Tensor,
-               hidden_dim: int, cooc_vocab: int, cooc_dim: int,
-               rng: np.random.Generator) -> "QAParams":
-        embedding_dim = question_embeddings.shape[1]
-        feature_dim = 6 * hidden_dim + cooc_dim
-        return cls(
-            question_embeddings=question_embeddings,
-            answer_embeddings=answer_embeddings,
-            question_fwd=GRUCellParams.create(embedding_dim, hidden_dim, rng),
-            question_bwd=GRUCellParams.create(embedding_dim, hidden_dim, rng),
-            answer_fwd=GRUCellParams.create(embedding_dim, hidden_dim, rng),
-            answer_bwd=GRUCellParams.create(embedding_dim, hidden_dim, rng),
-            cooc_table=glorot_uniform(rng, (cooc_vocab, cooc_dim)),
-            output_weights=glorot_uniform(rng, (2, feature_dim)),
-            output_bias=ad.zeros(2),
-        )
-
-    def named_tensors(self, include_embeddings: bool = True):
-        items = []
-        if include_embeddings:
-            items += [
-                ("qa.question_embeddings", self.question_embeddings),
-                ("qa.answer_embeddings", self.answer_embeddings),
-            ]
-        items += self.question_fwd.named("qa.question_fwd")
-        items += self.question_bwd.named("qa.question_bwd")
-        items += self.answer_fwd.named("qa.answer_fwd")
-        items += self.answer_bwd.named("qa.answer_bwd")
-        items += [
-            ("qa.cooc_table", self.cooc_table),
-            ("qa.output_weights", self.output_weights),
-            ("qa.output_bias", self.output_bias),
-        ]
-        return items
 
     def _side(self, side: str):
         if side == "question":

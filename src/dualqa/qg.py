@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .qa import GRUCellParams, bigru_states, glorot_uniform, gru_step
+from .qa import GRUCellParams, bigru_states, gru_step
 from .text import EOS_ID, SOS_ID, UNK_ID, Vocabulary
 
 __all__ = [
@@ -37,7 +37,9 @@ class QGParams:
 
     Attention matrices are stored input-major (input_dim x attention_dim)
     so encoder states project with a single matmul; the output projection
-    maps [state; context] to question-vocabulary logits.
+    maps [state; context] to question-vocabulary logits.  The embedding
+    matrices are the selection model's; ``trainer.parameter_layout``
+    gives every tensor's record name and shape.
     """
 
     question_embeddings: ad.Tensor
@@ -50,44 +52,6 @@ class QGParams:
     att_history: ad.Tensor
     att_vector: ad.Tensor
     output_projection: ad.Tensor
-
-    @classmethod
-    def create(cls, question_embeddings: ad.Tensor, answer_embeddings: ad.Tensor,
-               encoder_hidden: int, attention_dim: int,
-               rng: np.random.Generator) -> "QGParams":
-        q_vocab_size, embedding_dim = question_embeddings.shape
-        enc_out = 2 * encoder_hidden
-        return cls(
-            question_embeddings=question_embeddings,
-            answer_embeddings=answer_embeddings,
-            encoder_fwd=GRUCellParams.create(embedding_dim, encoder_hidden, rng),
-            encoder_bwd=GRUCellParams.create(embedding_dim, encoder_hidden, rng),
-            decoder=GRUCellParams.create(embedding_dim, enc_out, rng),
-            att_state=glorot_uniform(rng, (enc_out, attention_dim)),
-            att_encoder=glorot_uniform(rng, (enc_out, attention_dim)),
-            att_history=glorot_uniform(rng, (enc_out, attention_dim)),
-            att_vector=glorot_uniform(rng, (attention_dim,)),
-            output_projection=glorot_uniform(rng, (q_vocab_size, 2 * enc_out)),
-        )
-
-    def named_tensors(self, include_embeddings: bool = True):
-        items = []
-        if include_embeddings:
-            items += [
-                ("qg.question_embeddings", self.question_embeddings),
-                ("qg.answer_embeddings", self.answer_embeddings),
-            ]
-        items += self.encoder_fwd.named("qg.encoder_fwd")
-        items += self.encoder_bwd.named("qg.encoder_bwd")
-        items += self.decoder.named("qg.decoder")
-        items += [
-            ("qg.att_state", self.att_state),
-            ("qg.att_encoder", self.att_encoder),
-            ("qg.att_history", self.att_history),
-            ("qg.att_vector", self.att_vector),
-            ("qg.output_projection", self.output_projection),
-        ]
-        return items
 
 
 def encode_answer(a_ids: list[int], params: QGParams):

@@ -32,6 +32,7 @@ __all__ = [
     "AdaDeltaState",
     "NumericalError",
     "CheckpointError",
+    "parameter_layout",
     "init_models",
     "named_parameters",
     "adadelta_update",
@@ -81,35 +82,86 @@ class ModelDims:
     cooc_dim: int = 10
 
 
+# The gate matrices of one GRU cell, in record order.
+_GATES = tuple(f.name for f in fields(qa_mod.GRUCellParams))
+
+
+def parameter_layout(q_vocab_size: int, a_vocab_size: int,
+                     dims: ModelDims) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every trainable tensor: the shared embeddings, then
+    the selection model's, then the generator's, each GRU cell expanded
+    into its gates.  This is the order of ``named_parameters``, of the
+    checkpoint records and of the initial random draws."""
+    emb, qa_h, qg_h, att = dims.embedding_dim, dims.qa_hidden, dims.qg_hidden, dims.attention_dim
+
+    def cell(prefix, hidden):
+        return [(f"{prefix}.{gate}", (hidden, emb if gate[0] == "W" else hidden))
+                for gate in _GATES]
+
+    return [
+        ("shared.question_embeddings", (q_vocab_size, emb)),
+        ("shared.answer_embeddings", (a_vocab_size, emb)),
+        *cell("qa.question_fwd", qa_h), *cell("qa.question_bwd", qa_h),
+        *cell("qa.answer_fwd", qa_h), *cell("qa.answer_bwd", qa_h),
+        ("qa.cooc_table", (dims.cooc_vocab, dims.cooc_dim)),
+        ("qa.output_weights", (2, 6 * qa_h + dims.cooc_dim)),
+        ("qa.output_bias", (2,)),
+        *cell("qg.encoder_fwd", qg_h), *cell("qg.encoder_bwd", qg_h),
+        # The decoder state is the encoder's two directions concatenated.
+        *cell("qg.decoder", 2 * qg_h),
+        ("qg.att_state", (2 * qg_h, att)),
+        ("qg.att_encoder", (2 * qg_h, att)),
+        ("qg.att_history", (2 * qg_h, att)),
+        ("qg.att_vector", (att,)),
+        ("qg.output_projection", (q_vocab_size, 4 * qg_h)),
+    ]
+
+
+def _record_name(model: str, field: str) -> str:
+    """An embedding table is shared by both models; every other field
+    belongs to its model."""
+    return f"shared.{field}" if field.endswith("_embeddings") else f"{model}.{field}"
+
+
+def _build_models(tensors: dict[str, ad.Tensor]):
+    """Both models around the tensors keyed by their layout names."""
+    def build(model, cls):
+        kwargs = {}
+        for f in fields(cls):
+            name = _record_name(model, f.name)
+            kwargs[f.name] = tensors[name] if name in tensors else qa_mod.GRUCellParams(
+                *(tensors[f"{name}.{gate}"] for gate in _GATES))
+        return cls(**kwargs)
+
+    return build("qa", qa_mod.QAParams), build("qg", qg_mod.QGParams)
+
+
 def init_models(q_vocab_size: int, a_vocab_size: int, dims: ModelDims, seed: int):
-    """Build both models around shared embedding matrices."""
+    """Build both models around shared embedding matrices: Glorot-uniform
+    draws in ``parameter_layout`` order, and a zero selection-head bias."""
     rng = np.random.default_rng(seed)
-    q_emb = qa_mod.glorot_uniform(rng, (q_vocab_size, dims.embedding_dim))
-    a_emb = qa_mod.glorot_uniform(rng, (a_vocab_size, dims.embedding_dim))
-    qa_params = qa_mod.QAParams.create(
-        q_emb, a_emb, hidden_dim=dims.qa_hidden, cooc_vocab=dims.cooc_vocab,
-        cooc_dim=dims.cooc_dim, rng=rng,
-    )
-    qg_params = qg_mod.QGParams.create(
-        q_emb, a_emb, encoder_hidden=dims.qg_hidden, attention_dim=dims.attention_dim,
-        rng=rng,
-    )
-    return qa_params, qg_params
+    return _build_models({
+        name: ad.zeros(shape) if name == "qa.output_bias" else qa_mod.glorot_uniform(rng, shape)
+        for name, shape in parameter_layout(q_vocab_size, a_vocab_size, dims)
+    })
 
 
 def named_parameters(qa_params: qa_mod.QAParams, qg_params: qg_mod.QGParams):
-    """Canonical (name, tensor) list: the shared embeddings once, then the
-    selection model's tensors, then the generator's."""
+    """Canonical (name, tensor) list in ``parameter_layout`` order: the
+    shared embeddings once, then the selection model's tensors, then the
+    generator's."""
     if (qa_params.question_embeddings is not qg_params.question_embeddings
             or qa_params.answer_embeddings is not qg_params.answer_embeddings):
         raise ValueError("models must share their embedding matrices")
-    items = [
-        ("shared.question_embeddings", qa_params.question_embeddings),
-        ("shared.answer_embeddings", qa_params.answer_embeddings),
-    ]
-    items += qa_params.named_tensors(include_embeddings=False)
-    items += qg_params.named_tensors(include_embeddings=False)
-    return items
+    items: dict[str, ad.Tensor] = {}
+    for model, params in (("qa", qa_params), ("qg", qg_params)):
+        for f in fields(params):
+            name, value = _record_name(model, f.name), getattr(params, f.name)
+            if isinstance(value, qa_mod.GRUCellParams):
+                items.update((f"{name}.{gate}", getattr(value, gate)) for gate in _GATES)
+            else:
+                items.setdefault(name, value)
+    return list(items.items())
 
 
 @dataclass
@@ -411,8 +463,9 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild models, language models, and vocabularies; every stored
-    record must match the shape implied by the stored config."""
+    """Rebuild models, language models, and vocabularies; the stored
+    records must be the finite ``parameter_layout`` of the stored config
+    and vocabularies, and become the models' tensors."""
     try:
         with open(path, "rb") as f:
             reader = _Reader(f.read())
@@ -430,8 +483,7 @@ def load_checkpoint(path) -> Checkpoint:
         rank = reader.u32()
         shape = tuple(reader.u64() for _ in range(rank))
         count = math.prod(shape)
-        values = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
-        records[name] = values.astype(np.float64)
+        records[name] = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
 
     blobs = [reader.text() for _ in range(4)]
     if reader.pos != len(reader.data):
@@ -451,20 +503,23 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint blobs have the wrong structure: {type(e).__name__}: {e}"
         ) from None
-    qa_params, qg_params = init_models(vocab_q.size, vocab_a.size, dims, seed=0)
-    expected = named_parameters(qa_params, qg_params)
-    if len(expected) != len(records):
+    layout = parameter_layout(vocab_q.size, vocab_a.size, dims)
+    if len(layout) != len(records):
         raise CheckpointError(
-            f"checkpoint holds {len(records)} records, model needs {len(expected)}"
+            f"checkpoint holds {len(records)} records, model needs {len(layout)}"
         )
-    for name, tensor in expected:
+    tensors = {}
+    for name, shape in layout:
         if name not in records:
             raise CheckpointError(f"checkpoint is missing record {name!r}")
         stored = records[name]
-        if stored.shape != tensor.values.shape:
+        if stored.shape != shape:
             raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint has {stored.shape}, "
-                f"model needs {tensor.values.shape}"
+                f"shape mismatch for {name}: checkpoint has {stored.shape}, model needs {shape}"
             )
-        tensor.values[...] = stored
+        try:
+            tensors[name] = ad.Tensor(stored)
+        except ValueError:
+            raise CheckpointError(f"checkpoint record {name!r} holds non-finite values") from None
+    qa_params, qg_params = _build_models(tensors)
     return Checkpoint(qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a, config)

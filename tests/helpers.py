@@ -17,10 +17,18 @@ def make_tiny_models(seed=3, vocab_size=TINY_VOCAB, dims=TINY_DIMS):
     return trainer.init_models(vocab_size, vocab_size, dims, seed=seed)
 
 
-def zero_all(params):
-    for _, t in params.named_tensors():
+def zero_all(models):
+    """Zero every tensor of a (qa_params, qg_params) pair."""
+    for _, t in trainer.named_parameters(*models):
         t.values[...] = 0.0
-    return params
+    return models
+
+
+def model_tensors(models, model):
+    """The shared embeddings, then the tensors of ``model`` ("qa" or "qg")
+    alone, in layout order."""
+    other = "qg." if model == "qa" else "qa."
+    return [t for name, t in trainer.named_parameters(*models) if not name.startswith(other)]
 
 
 def unique_tensors(named):

@@ -19,7 +19,7 @@ import pytest
 from dualqa import autodiff as ad
 from dualqa import bigram, cli, metrics, qa, qg, text, toy, trainer
 
-from helpers import TINY_DIMS, make_small_trainer, small_corpus
+from helpers import TINY_DIMS, make_small_trainer, model_tensors, small_corpus
 from test_metrics import brute_average_precision, random_queries
 
 
@@ -43,11 +43,11 @@ def test_criterion_1_gradient_correctness():
     def qa_nll(_):
         return qa.qa_nll_loss_from_vectors(*encodings(), 1, 2, qa_params)
 
-    qa_tensors = [t for _, t in qa_params.named_tensors()]
+    qa_tensors = model_tensors((qa_params, qg_params), "qa")
     err_a = ad.grad_check(qa_nll, qa_tensors, epsilon=1e-5)
     assert err_a < 1e-4
 
-    qg_tensors = [t for _, t in qg_params.named_tensors()]
+    qg_tensors = model_tensors((qa_params, qg_params), "qg")
     # eps 1e-4 for the full-model losses: their values are ~10 nats, so a
     # 1e-5 step sits below the float64 rounding floor for the smallest
     # gradient entries; the GRU-cell check in test_autodiff keeps 1e-5.

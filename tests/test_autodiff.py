@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dualqa import autodiff as ad
-from dualqa.qa import GRUCellParams, gru_step
+from dualqa.qa import GRUCellParams, glorot_uniform, gru_step
 
 from helpers import toy_dual_objectives
 
@@ -357,7 +357,7 @@ class TestGradCheck:
 
     def test_full_gru_cell_three_tokens(self):
         rng = np.random.default_rng(2)
-        cell = GRUCellParams.create(4, 8, rng)
+        cell = GRUCellParams(*(glorot_uniform(rng, shape) for shape in [(8, 4), (8, 8)] * 3))
         tokens = [_rand(rng, 4) for _ in range(3)]
         probe = ad.Tensor(rng.normal(size=8))
         params = [cell.W_z, cell.U_z, cell.W_r, cell.U_r, cell.W_h, cell.U_h] + tokens

@@ -2,6 +2,7 @@
 subcommands end to end on a small generated corpus."""
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -213,12 +214,16 @@ class TestEvalQA:
         # One byte of the LM blob's first key: valid JSON, wrong structure.
         lm_key = b'{"answer":{"alpha"'
         assert data.count(lm_key) == 1
+        # A NaN as the first value of the first record.
+        nan = bytearray(data)
+        struct.pack_into("<d", nan, rank_at + 4 + 16, math.nan)
         cases = [
             (data + b"\0" * 8, "8 trailing bytes"),
             (bytes(huge), "truncated checkpoint file"),
             (data[:-1] + b"!", "checkpoint JSON is malformed"),
             (data[:-1] + b"\xff", "checkpoint text is not valid UTF-8"),
             (data.replace(lm_key, b'{"bnswer":{"alpha"'), "wrong structure: KeyError: 'answer'"),
+            (bytes(nan), "record 'shared.question_embeddings' holds non-finite values"),
         ]
         for corrupted, message in cases:
             path = tmp_path / "corrupted.ckpt"

@@ -9,7 +9,7 @@ import pytest
 from dualqa import autodiff as ad
 from dualqa import qa, trainer
 
-from helpers import TINY_DIMS, make_tiny_models, zero_all
+from helpers import TINY_DIMS, make_tiny_models, model_tensors, zero_all
 
 Q_IDS = [4, 7, 9]
 A_IDS = [5, 8, 10, 6]
@@ -50,8 +50,7 @@ class TestEncodeBigru:
         assert np.all(np.isfinite(out.values))
 
     def test_zero_parameters_give_zero_vector(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
+        qa_params, _ = zero_all(make_tiny_models(seed=0))
         out = qa.encode_bigru(Q_IDS, "question", qa_params)
         np.testing.assert_array_equal(out.values, np.zeros(out.shape))
 
@@ -70,8 +69,7 @@ class TestScore:
         assert -1.0 < score < 1.0
 
     def test_zero_parameters_score_zero(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
+        qa_params, _ = zero_all(make_tiny_models(seed=0))
         assert qa.qa_score(Q_IDS, A_IDS, qa_params, 0).item() == 0.0
 
     def test_deterministic(self, models):
@@ -87,21 +85,18 @@ class TestScore:
 
 class TestNLLLoss:
     def test_equal_logits_give_ln2(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
+        qa_params, _ = zero_all(make_tiny_models(seed=0))
         loss = nll(Q_IDS, A_IDS, 1, qa_params, 0).item()
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct_label_drives_loss_to_zero(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
+        qa_params, _ = zero_all(make_tiny_models(seed=0))
         qa_params.output_bias.values[:] = [0.0, 50.0]
         assert nll(Q_IDS, A_IDS, 1, qa_params, 0).item() < 1e-12
         assert nll(Q_IDS, A_IDS, 0, qa_params, 0).item() > 10.0
 
     def test_symmetric_under_logit_and_label_swap(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
+        qa_params, _ = zero_all(make_tiny_models(seed=0))
         qa_params.output_bias.values[:] = [0.3, -1.1]
         loss_a = nll(Q_IDS, A_IDS, 0, qa_params, 0).item()
         qa_params.output_bias.values[:] = [-1.1, 0.3]
@@ -131,7 +126,7 @@ class TestNLLLoss:
 
     def test_gradients_match_finite_differences(self, models):
         qa_params, _ = models
-        params = [t for _, t in qa_params.named_tensors()]
+        params = model_tensors(models, "qa")
 
         def build(_):
             return nll(Q_IDS, A_IDS, 1, qa_params, 2)
@@ -141,8 +136,7 @@ class TestNLLLoss:
 
 class TestConditional:
     def test_uniform_when_scores_equal(self):
-        qa_params, _ = make_tiny_models(seed=0)
-        zero_all(qa_params)
+        qa_params, _ = zero_all(make_tiny_models(seed=0))
         answers = [A_IDS, [5, 6], [7, 8, 9], [10]]
         log_prob = qa.log_conditional_from_scores(scores_for(Q_IDS, answers, qa_params)).item()
         assert math.exp(log_prob) == pytest.approx(0.25, abs=1e-12)

@@ -12,7 +12,7 @@ from dualqa import autodiff as ad
 from dualqa import qa, qg, text
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import make_small_trainer, make_tiny_models, small_corpus, zero_all
+from helpers import make_small_trainer, make_tiny_models, model_tensors, small_corpus, zero_all
 
 Q_IDS = [4, 7]
 A_IDS = [5, 8, 10]
@@ -45,8 +45,7 @@ class TestEncodeAnswer:
         np.testing.assert_array_equal(H.values[0], s0.values)
 
     def test_zero_parameters_give_zero_states(self):
-        _, qg_params = make_tiny_models(seed=0)
-        zero_all(qg_params)
+        _, qg_params = zero_all(make_tiny_models(seed=0))
         H, s0 = qg.encode_answer(A_IDS, qg_params)
         np.testing.assert_array_equal(H.values, np.zeros(H.shape))
         np.testing.assert_array_equal(s0.values, np.zeros(s0.shape))
@@ -183,7 +182,7 @@ class TestSequenceLogProb:
 
     def test_gradients_match_finite_differences(self, models):
         _, qg_params = models
-        params = [t for _, t in qg_params.named_tensors()]
+        params = model_tensors(models, "qg")
 
         def build(_):
             return ad.scalar_scale(qg.sequence_log_prob(Q_IDS, A_IDS, qg_params), -1.0)

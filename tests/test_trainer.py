@@ -320,6 +320,13 @@ class TestNamedParameters:
         named = trainer.named_parameters(qa_params, qg_params)
         assert len(unique_tensors(named)) == len(named)
 
+    # Criterion 7's dims; distinct vocabulary sizes catch a swapped table.
+    @pytest.mark.parametrize("dims", [TINY_DIMS, trainer.ModelDims(20, 12, 16, 8, 10, 10)],
+                             ids=["tiny", "criterion_7"])
+    def test_names_order_and_shapes_follow_the_layout(self, dims):
+        named = trainer.named_parameters(*trainer.init_models(30, 25, dims, seed=1))
+        assert [(n, t.shape) for n, t in named] == trainer.parameter_layout(30, 25, dims)
+
 
 def _checkpoint_config():
     return {
@@ -351,6 +358,47 @@ class TestCheckpoint:
         assert loaded.vocab_q.id_to_token == dual.vocab_q.id_to_token
         assert loaded.lm_a.bigram_counts == dual.lm_a.bigram_counts
         assert loaded.config == _checkpoint_config()
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        dual, path = self._build(tmp_path)
+
+        def no_draws(*_):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(qa, "glorot_uniform", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = trainer.load_checkpoint(path)
+        restored = trainer.named_parameters(loaded.qa_params, loaded.qg_params)
+        assert [n for n, _ in restored] == [n for n, _ in dual.parameters]
+        for (_, ta), (_, tb) in zip(dual.parameters, restored):
+            np.testing.assert_array_equal(ta.values, tb.values)
+
+    def _save_edited_records(self, tmp_path, monkeypatch, edit):
+        """A checkpoint whose records are ``edit`` of the model's (name,
+        tensor) list."""
+        dual = make_small_trainer(small_corpus(tmp_path))
+        named = trainer.named_parameters
+        monkeypatch.setattr(trainer, "named_parameters", lambda *models: edit(named(*models)))
+        path = tmp_path / "model.ckpt"
+        trainer.save_checkpoint(
+            path, dual.qa_params, dual.qg_params, dual.lm_q, dual.lm_a,
+            dual.vocab_q, dual.vocab_a, _checkpoint_config(),
+        )
+        monkeypatch.undo()
+        return path
+
+    def test_renamed_record_rejected(self, tmp_path, monkeypatch):
+        path = self._save_edited_records(tmp_path, monkeypatch, lambda items: [
+            ("qa.cooc_tabel" if n == "qa.cooc_table" else n, t) for n, t in items])
+        with pytest.raises(trainer.CheckpointError, match="missing record 'qa.cooc_table'"):
+            trainer.load_checkpoint(path)
+
+    def test_dropped_record_rejected(self, tmp_path, monkeypatch):
+        path = self._save_edited_records(tmp_path, monkeypatch, lambda items: items[:-1])
+        n = len(trainer.named_parameters(*make_tiny_models()))
+        with pytest.raises(trainer.CheckpointError,
+                           match=f"holds {n - 1} records, model needs {n}"):
+            trainer.load_checkpoint(path)
 
     def test_resave_identical_bytes(self, tmp_path):
         _, path = self._build(tmp_path)
