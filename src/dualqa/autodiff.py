@@ -9,9 +9,11 @@ closure over the arrays the rule needs, which the recorded node carries.
 reverse and returns the gradients of the requested tensors as arrays; it
 leaves the record and the tensors unchanged, so one record can be walked
 for several losses.
-Desk-scale on purpose: float64 everywhere, two fused primitives (the GRU
-update ``gru_cell`` and the max-shifted ``log_softmax`` that gives every
-log-probability), no sparse storage, no higher-order derivatives.
+Desk-scale on purpose: float64 everywhere, three fused primitives (the
+GRU update ``gru_cell``, the max-shifted ``log_softmax``, and
+``target_log_prob``, a whole sequence's output layer and target
+log-probabilities in one node), no sparse storage, no higher-order
+derivatives.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "tanh",
     "softmax_lastdim",
     "log_softmax",
+    "target_log_prob",
     "square",
     "reduce_sum",
     "scalar_scale",
@@ -299,12 +302,48 @@ def softmax_lastdim(x: Tensor) -> Tensor:
                  lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
+def _log_softmax(v):
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """log(softmax(x)) over the last axis, finite wherever ``x`` is."""
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = _log_softmax(x.values)
     return _emit("log_softmax", (x,), y,
                  lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
+
+
+def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
+    """Sum over the rows x_t of ``X`` of log(softmax(W x_t))[targets[t]]:
+    one product ``X @ W.T``, one max-shifted log-softmax per row and one
+    gather, so the gradient of ``W`` is one product rather than one outer
+    product per row."""
+    xv, wv = X.values, W.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise ValueError(f"target_log_prob: incompatible shapes {X.shape} and {W.shape}")
+    cols = np.array([int(t) for t in targets], dtype=np.intp)
+    if cols.shape != (xv.shape[0],):
+        raise ValueError(f"target_log_prob: {cols.size} targets for {xv.shape[0]} rows")
+    n = wv.shape[0]
+    bad = cols[(cols < 0) | (cols >= n)]
+    if bad.size:
+        raise IndexError(f"target_log_prob: target {bad[0]} out of range for {n} classes")
+    rows = np.arange(cols.size)
+    y = _log_softmax(xv @ wv.T)
+
+    def vjp(g):
+        # G = g * (onehot(targets) - softmax); then dX = G W and dW = G^T X.
+        G = -np.exp(y)
+        G[rows, cols] += 1.0
+        G *= g
+        return G @ wv, G.T @ xv
+    # Summed in token order, the order in which decoding accumulates a
+    # hypothesis's score, so that the two agree whenever the terms do.
+    total = 0.0
+    for term in y[rows, cols].tolist():
+        total += term
+    return _emit("target_log_prob", (X, W), np.asarray(total), vjp)
 
 
 def square(x: Tensor) -> Tensor:

@@ -66,14 +66,17 @@ def encode_answer(a_ids: list[int], params: QGParams):
     return H, s0
 
 
-def attention_step(s_t: ad.Tensor, H: ad.Tensor, history: ad.Tensor, params: QGParams):
+def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Tensor,
+                   params: QGParams):
     """Additive attention over encoder rows, also conditioned on the
     previous step's attention-weighted sum (zero at the first step).
+    ``keys`` is ``H @ att_encoder``, fixed for the whole answer, so
+    callers compute it once per answer (Bahdanau et al. 2015, appendix A).
 
     Returns (weights over positions, context vector).
     """
     projected = ad.add(
-        ad.add(ad.matmul(H, params.att_encoder), ad.matmul(s_t, params.att_state)),
+        ad.add(keys, ad.matmul(s_t, params.att_state)),
         ad.matmul(history, params.att_history),
     )
     scores = ad.matmul(ad.tanh(projected), params.att_vector)
@@ -82,7 +85,7 @@ def attention_step(s_t: ad.Tensor, H: ad.Tensor, history: ad.Tensor, params: QGP
     return alpha, context
 
 
-def decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor,
+def decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor, keys: ad.Tensor,
                 history: ad.Tensor, params: QGParams):
     """Advance the decoder one step.
 
@@ -93,26 +96,31 @@ def decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor,
     """
     embedded = ad.row_lookup(params.question_embeddings, int(prev_token_id))
     s_t = gru_step(params.decoder, embedded, state)
-    alpha, context = attention_step(s_t, H, history, params)
+    alpha, context = attention_step(s_t, H, keys, history, params)
     logits = ad.matmul(params.output_projection, ad.concat([s_t, context]))
     return ad.log_softmax(logits), s_t, alpha, context
 
 
 def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
-    """Teacher-forced log P(question | answer), including the EOS step."""
+    """Teacher-forced log P(question | answer), including the EOS step.
+
+    The gold previous token, not a prediction, feeds each step, so the
+    output layer never feeds back into the recurrence: the loop runs the
+    GRU and attention and stacks the [state; context] rows, and one
+    ``target_log_prob`` scores every row against its target at once.
+    """
     if not q_ids:
         raise ValueError("sequence_log_prob: empty question")
     H, state = encode_answer(a_ids, params)
+    keys = ad.matmul(H, params.att_encoder)
     history = ad.zeros(H.shape[1])
-    prev = SOS_ID
-    total = None
-    for target in list(q_ids) + [EOS_ID]:
-        log_probs, state, _, context = decode_step(prev, state, H, history, params)
-        step = ad.row_lookup(log_probs, int(target))
-        total = step if total is None else ad.add(total, step)
-        history = context
-        prev = int(target)
-    return total
+    targets = [int(t) for t in q_ids] + [EOS_ID]
+    rows = []
+    for prev in [SOS_ID] + targets[:-1]:
+        state = gru_step(params.decoder, ad.row_lookup(params.question_embeddings, prev), state)
+        _, history = attention_step(state, H, keys, history, params)
+        rows.append(ad.concat([state, history]))
+    return ad.target_log_prob(ad.concat(rows, axis="rows"), params.output_projection, targets)
 
 
 @dataclass
@@ -145,13 +153,14 @@ def greedy_decode(a_ids: list[int], max_len: int, params: QGParams) -> BeamHypot
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     with ad.no_recording():
         H, state = encode_answer(a_ids, params)
+        keys = ad.matmul(H, params.att_encoder)
         history = ad.zeros(H.shape[1])
         prev = SOS_ID
         tokens: list[int] = []
         rows: list[np.ndarray] = []
         log_prob = 0.0
         for _ in range(max_len):
-            log_probs, state, alpha, context = decode_step(prev, state, H, history, params)
+            log_probs, state, alpha, context = decode_step(prev, state, H, keys, history, params)
             token = int(np.argmax(log_probs.values))
             tokens.append(token)
             rows.append(alpha.values.copy())
@@ -177,13 +186,14 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     with ad.no_recording():
         H, s0 = encode_answer(a_ids, params)
+        keys = ad.matmul(H, params.att_encoder)
         live = [_Beam([], 0.0, [], s0, ad.zeros(H.shape[1]), False)]
         finished: list[_Beam] = []
         for _ in range(max_len):
             pool = list(finished)
             for beam in live:
                 prev = beam.tokens[-1] if beam.tokens else SOS_ID
-                log_probs, state, alpha, context = decode_step(prev, beam.state, H,
+                log_probs, state, alpha, context = decode_step(prev, beam.state, H, keys,
                                                                 beam.history, params)
                 # Each live beam contributes at most beam_size extensions.
                 top = np.argsort(-log_probs.values, kind="stable")[:beam_size]

@@ -74,6 +74,15 @@ class TestForwardErrors:
         with pytest.raises(IndexError, match="index 5.*3 rows"):
             ad.row_lookup(table, 5)
 
+    def test_target_log_prob_checks_shapes_and_targets(self):
+        X, W = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 3)))
+        with pytest.raises(ValueError, match=r"target_log_prob.*\(2, 3\).*\(4, 2\)"):
+            ad.target_log_prob(X, ad.Tensor(np.ones((4, 2))), [0, 1])
+        with pytest.raises(ValueError, match="3 targets for 2 rows"):
+            ad.target_log_prob(X, W, [0, 1, 2])
+        with pytest.raises(IndexError, match="target 4 out of range for 4 classes"):
+            ad.target_log_prob(X, W, [0, 4])
+
     def test_tensor_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             ad.Tensor([1.0, float("nan")])
@@ -254,6 +263,8 @@ PRIMITIVE_CASES = {
                 lambda p: ad.softmax_lastdim(p[0])),
     "log_softmax": (lambda rng: [_rand(rng, (3, 6))],
                     lambda p: ad.log_softmax(p[0])),
+    "target_log_prob": (lambda rng: [_rand(rng, (4, 5)), _rand(rng, (6, 5))],
+                        lambda p: ad.target_log_prob(p[0], p[1], [2, 0, 2, 5])),
     "square": (lambda rng: [_rand(rng, (4, 2))], lambda p: ad.square(p[0])),
     "sum": (lambda rng: [_rand(rng, (3, 3))], lambda p: ad.reduce_sum(p[0])),
     "scalar_scale": (lambda rng: [_rand(rng, 5)],

@@ -2,6 +2,7 @@
 teacher-forced likelihood anchors, beam search contracts, and UNK
 replacement."""
 
+import collections
 import math
 import warnings
 
@@ -12,7 +13,8 @@ from dualqa import autodiff as ad
 from dualqa import qa, qg, text
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import make_small_trainer, make_tiny_models, model_tensors, small_corpus, zero_all
+from helpers import (make_small_trainer, make_tiny_models, model_tensors, small_corpus,
+                     toy_dual_objectives, zero_all)
 
 Q_IDS = [4, 7]
 A_IDS = [5, 8, 10]
@@ -24,11 +26,30 @@ def models():
 
 
 def sharpened_models():
-    """A generator whose output logits span thousands of nats, so most
-    tokens' probabilities underflow to zero in float64."""
-    _, qg_params = make_tiny_models(seed=0)
-    qg_params.output_projection.values *= 5000.0
-    return qg_params
+    """A (qa, qg) pair whose generator's output logits span thousands of
+    nats, so most tokens' probabilities underflow to zero in float64."""
+    models = make_tiny_models(seed=0)
+    models[1].output_projection.values *= 5000.0
+    return models
+
+
+def keys(H, qg_params):
+    """The attention keys of an encoded answer, as the decoders compute them."""
+    return ad.matmul(H, qg_params.att_encoder)
+
+
+def per_token_log_prob(q_ids, a_ids, qg_params):
+    """log P(q | a) composed from ``decode_step`` as inference scores it:
+    one output projection, log-softmax and target lookup per token."""
+    H, state = qg.encode_answer(a_ids, qg_params)
+    k = keys(H, qg_params)
+    history, prev, total = ad.zeros(H.shape[1]), text.SOS_ID, None
+    for target in q_ids + [EOS_ID]:
+        log_probs, state, _, history = qg.decode_step(prev, state, H, k, history, qg_params)
+        step = ad.row_lookup(log_probs, target)
+        total = step if total is None else ad.add(total, step)
+        prev = target
+    return total
 
 
 class TestEncodeAnswer:
@@ -67,7 +88,7 @@ class TestAttention:
         _, qg_params = models
         H, s0 = qg.encode_answer([5, 8, 10, 6], qg_params)
         history = ad.zeros(H.shape[1])
-        alpha, context = qg.attention_step(s0, H, history, qg_params)
+        alpha, context = qg.attention_step(s0, H, keys(H, qg_params), history, qg_params)
         assert np.all(alpha.values >= 0)
         assert alpha.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert context.shape == (H.shape[1],)
@@ -79,13 +100,14 @@ class TestAttention:
         row = rng.normal(size=width)
         H = ad.Tensor(np.tile(row, (4, 1)))
         alpha, _ = qg.attention_step(
-            ad.Tensor(rng.normal(size=width)), H, ad.zeros(width), qg_params)
+            ad.Tensor(rng.normal(size=width)), H, keys(H, qg_params), ad.zeros(width), qg_params)
         np.testing.assert_allclose(alpha.values, np.full(4, 0.25), atol=1e-12)
 
     def test_context_is_weighted_average_of_rows(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer([5, 8], qg_params)
-        alpha, context = qg.attention_step(s0, H, ad.zeros(H.shape[1]), qg_params)
+        alpha, context = qg.attention_step(s0, H, keys(H, qg_params), ad.zeros(H.shape[1]),
+                                           qg_params)
         np.testing.assert_allclose(context.values, alpha.values @ H.values, atol=1e-12)
 
 
@@ -94,7 +116,7 @@ class TestDecodeStep:
         _, qg_params = models
         H, s0 = qg.encode_answer(A_IDS, qg_params)
         log_probs, state, alpha, context = qg.decode_step(
-            2, s0, H, ad.zeros(H.shape[1]), qg_params)
+            2, s0, H, keys(H, qg_params), ad.zeros(H.shape[1]), qg_params)
         dist = np.exp(log_probs.values)
         assert dist.shape == (qg_params.output_projection.shape[0],)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -107,7 +129,8 @@ class TestDecodeStep:
         _, qg_params = make_tiny_models(seed=0)
         qg_params.output_projection.values[...] = 0.0
         H, s0 = qg.encode_answer(A_IDS, qg_params)
-        log_probs, _, _, _ = qg.decode_step(2, s0, H, ad.zeros(H.shape[1]), qg_params)
+        log_probs, _, _, _ = qg.decode_step(2, s0, H, keys(H, qg_params), ad.zeros(H.shape[1]),
+                                            qg_params)
         vocab = qg_params.output_projection.shape[0]
         np.testing.assert_allclose(np.exp(log_probs.values), np.full(vocab, 1.0 / vocab),
                                    atol=1e-15)
@@ -116,7 +139,7 @@ class TestDecodeStep:
         _, qg_params = models
         H, s0 = qg.encode_answer(A_IDS, qg_params)
         with pytest.raises(IndexError, match="out of range"):
-            qg.decode_step(10_000, s0, H, ad.zeros(H.shape[1]), qg_params)
+            qg.decode_step(10_000, s0, H, keys(H, qg_params), ad.zeros(H.shape[1]), qg_params)
 
 
 class TestSequenceLogProb:
@@ -145,7 +168,7 @@ class TestSequenceLogProb:
 
     def test_finite_where_probabilities_underflow(self):
         q_ids, a_ids = [4, 5, 6], [6, 7]
-        qg_params = sharpened_models()
+        _, qg_params = sharpened_models()
         got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
         # The same decoder steps, scored by a numpy log-sum-exp of each logit row.
         expected = 0.0
@@ -155,7 +178,7 @@ class TestSequenceLogProb:
             for target in q_ids + [EOS_ID]:
                 state = qa.gru_step(qg_params.decoder, ad.row_lookup(
                     qg_params.question_embeddings, prev), state)
-                _, history = qg.attention_step(state, H, history, qg_params)
+                _, history = qg.attention_step(state, H, keys(H, qg_params), history, qg_params)
                 logits = qg_params.output_projection.values @ np.concatenate(
                     [state.values, history.values])
                 shift = logits.max()
@@ -192,6 +215,62 @@ class TestSequenceLogProb:
         assert ad.grad_check(build, params, epsilon=1e-4) < 1e-4
 
 
+class TestTeacherForcingMatchesPerTokenDecoding:
+    """Training scores a question with one fused output node; inference
+    projects one step at a time.  Both must give the same model."""
+
+    CASES = [0, 1, 2, 3, 4, "sharpened"]
+    PAIRS = [(Q_IDS, A_IDS), ([4, 5, 6], [6, 7]), ([9, 9, 3, 12], [5])]
+
+    @staticmethod
+    def models_for(case):
+        return sharpened_models() if case == "sharpened" else make_tiny_models(seed=case)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_value(self, case):
+        _, qg_params = self.models_for(case)
+        with ad.no_recording():
+            for q_ids, a_ids in self.PAIRS:
+                got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
+                want = per_token_log_prob(q_ids, a_ids, qg_params).item()
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradients(self, case):
+        models = self.models_for(case)
+        params = model_tensors(models, "qg")
+        for q_ids, a_ids in self.PAIRS:
+            grads = []
+            for score in (qg.sequence_log_prob, per_token_log_prob):
+                with ad.ComputationRecord():
+                    loss = score(q_ids, a_ids, models[1])
+                grads.append(ad.backward(loss, params))
+            for got, want in zip(*grads):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_finished_beams_score_as_teacher_forced(self, case):
+        _, qg_params = self.models_for(case)
+        checked = 0
+        for a_ids in (A_IDS, [6, 7], [5], [5, 8, 10, 6, 4]):
+            # A hypothesis of EOS alone is left out: it has no question to score.
+            for h in qg.beam_search(a_ids, 16, 8, qg_params):
+                if h.tokens[-1] == EOS_ID and len(h.tokens) > 1:
+                    with ad.no_recording():
+                        want = qg.sequence_log_prob(h.tokens[:-1], a_ids, qg_params).item()
+                    assert h.log_prob == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    checked += 1
+        assert checked
+
+    def test_toy_dual_step_records_one_output_node_per_positive(self, tmp_path):
+        record, *_ = toy_dual_objectives(tmp_path)
+        kinds = collections.Counter(node.kind for node in record.nodes)
+        assert kinds["target_log_prob"] == 16
+        # Only the QA side's log-softmaxes remain: two pair losses and one
+        # duality conditional per positive.
+        assert kinds["log_softmax"] <= 3 * 16
+
+
 class TestBeamSearch:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_beam_one_equals_greedy(self, seed):
@@ -222,7 +301,7 @@ class TestBeamSearch:
                 assert len(row) == len(A_IDS)
 
     def test_beam_wider_than_vocabulary_scores_finite(self):
-        qg_params = sharpened_models()
+        _, qg_params = sharpened_models()
         vocab = qg_params.output_projection.shape[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
