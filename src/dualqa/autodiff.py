@@ -7,8 +7,11 @@ one function holding its forward computation and its gradient rule, a
 closure over the arrays the rule needs, which the recorded node carries.
 ``backward(loss, wrt)`` walks the record that produced ``loss`` once in
 reverse and returns the gradients of the requested tensors as arrays; it
-leaves the record and the tensors unchanged, so one record can be walked
-for several losses.
+leaves the record and the tensors unchanged.  A vector ``loss`` of k
+entries is differentiated in the same single walk (vector reverse mode,
+Griewank & Walther 2008, ch. 3): every gradient carries a leading axis of
+k channels, one per entry, so each rule below maps a (k, *output)
+gradient to (k, *input) contributions.
 Desk-scale on purpose: float64 everywhere, three fused primitives (the
 GRU update ``gru_cell``, the max-shifted ``log_softmax``, and
 ``target_log_prob``, a whole sequence's output layer and target
@@ -100,9 +103,10 @@ def zeros(shape) -> Tensor:
 
 class _Node:
     """One primitive application.  ``vjp`` is its gradient rule: given the
-    gradient of ``output`` it returns each input's contribution, in input
-    order; ``row_lookup``'s contribution is a (rows, gradient) pair that
-    the walk scatters into the table's gradient."""
+    (channels, *output shape) gradient of ``output`` it returns each
+    input's contribution, in input order; ``row_lookup``'s contribution is
+    an (index, gradient) pair that the walk scatters into the table's
+    gradient."""
 
     __slots__ = ("kind", "inputs", "output", "vjp")
 
@@ -174,14 +178,16 @@ def _check_broadcast(kind, a, b):
 
 
 def _unbroadcast(grad, shape):
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    extra = grad.ndim - len(shape)
+    """Sum a (channels, *broadcast shape) ``grad`` down to (channels,
+    *shape): the inverse of numpy broadcasting, channel axis kept."""
+    extra = grad.ndim - 1 - len(shape)
     if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+        grad = grad.sum(axis=tuple(range(1, 1 + extra)))
+    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape[1:], shape), 1)
+                 if s == 1 and g != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return grad.reshape(grad.shape[:1] + shape)
 
 
 def _stable_sigmoid(x):
@@ -219,16 +225,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if av.ndim == 1:
-            return bv @ g, np.outer(av, g)
+            return g @ bv.T, av[:, None] * g[:, None, :]
         if bv.ndim == 1:
-            return np.outer(g, bv), av.T @ g
+            return g[:, :, None] * bv, g @ av
         return g @ bv.T, av.T @ g
     return _emit("matmul", (a, b), av @ bv, vjp)
 
 
 def concat(parts, axis=0) -> Tensor:
-    """Join vectors end to end (``axis=0``), or stack equal-length
-    vectors into a matrix, one row per input (``axis="rows"``)."""
+    """Join vectors end to end (``axis=0``), or stack equal-shaped
+    scalars or vectors, one row per input (``axis="rows"``)."""
     parts = tuple(parts)
     vals = [t.values for t in parts]
     if axis not in (0, "rows"):
@@ -236,17 +242,18 @@ def concat(parts, axis=0) -> Tensor:
     if not vals:
         raise ValueError("concat: needs at least one input")
     if axis == "rows":
-        if any(v.ndim != 1 for v in vals) or len({v.shape[0] for v in vals}) != 1:
-            raise ValueError("concat: row stacking needs equal-length vectors, got "
-                             f"{[v.shape for v in vals]}")
-        return _emit("concat", parts, np.stack(vals, axis=0), list)
+        if vals[0].ndim > 1 or len({v.shape for v in vals}) != 1:
+            raise ValueError("concat: row stacking needs equal-shaped scalars or vectors, "
+                             f"got {[v.shape for v in vals]}")
+        return _emit("concat", parts, np.stack(vals, axis=0),
+                     lambda g: list(g.swapaxes(0, 1)))
     ends = [0]
     for v in vals:
         if v.ndim != 1:
             raise ValueError(f"concat: parts must be vectors, got {[v.shape for v in vals]}")
         ends.append(ends[-1] + v.size)
     return _emit("concat", parts, np.concatenate(vals),
-                 lambda g: [g[i:j] for i, j in zip(ends, ends[1:])])
+                 lambda g: [g[:, i:j] for i, j in zip(ends, ends[1:])])
 
 
 def row_lookup(table: Tensor, indices) -> Tensor:
@@ -259,7 +266,7 @@ def row_lookup(table: Tensor, indices) -> Tensor:
         if not 0 <= i < n:
             raise IndexError(f"row_lookup: index {i} out of range for table with {n} rows")
     return _emit("row_lookup", (table,), np.array(table.values[rows], dtype=np.float64),
-                 lambda g: ((rows, g),))
+                 lambda g: (((slice(None), rows), g),))
 
 
 def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
@@ -275,15 +282,16 @@ def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
     c = np.tanh(W_h @ x + U_h @ rh)
 
     def vjp(g):
-        # Gradients of the three pre-activations, then of the cell's inputs.
+        # Gradients of the three pre-activations, then of the cell's inputs;
+        # a (channels, n) row times W is W^T applied to each channel.
         a_h = g * z * (1.0 - c * c)
         a_z = g * (c - h) * z * (1.0 - z)
-        g_rh = U_h.T @ a_h
+        g_rh = a_h @ U_h
         a_r = g_rh * h * r * (1.0 - r)
-        return (W_z.T @ a_z + W_r.T @ a_r + W_h.T @ a_h,
-                g * (1.0 - z) + g_rh * r + U_z.T @ a_z + U_r.T @ a_r,
-                np.outer(a_z, x), np.outer(a_z, h), np.outer(a_r, x),
-                np.outer(a_r, h), np.outer(a_h, x), np.outer(a_h, rh))
+        a_z3, a_r3, a_h3 = a_z[:, :, None], a_r[:, :, None], a_h[:, :, None]
+        return (a_z @ W_z + a_r @ W_r + a_h @ W_h,
+                g * (1.0 - z) + g_rh * r + a_z @ U_z + a_r @ U_r,
+                a_z3 * x, a_z3 * h, a_r3 * x, a_r3 * h, a_h3 * x, a_h3 * rh)
     return _emit("gru_cell", inputs, z * c + (1.0 - z) * h, vjp)
 
 
@@ -333,11 +341,12 @@ def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
     y = _log_softmax(xv @ wv.T)
 
     def vjp(g):
-        # G = g * (onehot(targets) - softmax); then dX = G W and dW = G^T X.
+        # G = g * (onehot(targets) - softmax) per channel; then dX = G W and
+        # dW = G^T X, one GEMM per channel.
         G = -np.exp(y)
         G[rows, cols] += 1.0
-        G *= g
-        return G @ wv, G.T @ xv
+        G = g[:, None, None] * G
+        return G @ wv, G.swapaxes(1, 2) @ xv
     # Summed in token order, the order in which decoding accumulates a
     # hypothesis's score, so that the two agree whenever the terms do.
     total = 0.0
@@ -352,7 +361,8 @@ def square(x: Tensor) -> Tensor:
 
 
 def reduce_sum(x: Tensor) -> Tensor:
-    return _emit("sum", (x,), np.asarray(x.values.sum()), lambda g: (g,))
+    expand = (-1,) + (1,) * x.values.ndim
+    return _emit("sum", (x,), np.asarray(x.values.sum()), lambda g: (g.reshape(expand),))
 
 
 def scalar_scale(x: Tensor, factor: float) -> Tensor:
@@ -363,20 +373,28 @@ def scalar_scale(x: Tensor, factor: float) -> Tensor:
 def backward(loss: Tensor, wrt) -> list[np.ndarray]:
     """d(loss)/d(t) for each tensor ``t`` in ``wrt``, in order.
 
+    A scalar ``loss`` gives arrays of each tensor's shape.  A vector
+    ``loss`` of k entries gives each tensor's (k, *shape) Jacobian, row i
+    the gradient of ``loss[i]``: the walk seeds channel i with entry i and
+    carries all k channels through every rule at once.
+
     One reverse walk over the record that produced ``loss``, whatever
     records have used ``loss`` or its inputs since.  Its gradient buffers
     are keyed by ``id(tensor)``, which is sound because the record keeps
     every tensor it references alive during the walk; the buffers live
     only for the walk, so the record and the tensors are left as they were
-    and the same record can be walked again for another loss.  A tensor
-    the walk never reaches gets zeros of its shape.
+    and the same record can be walked again.  A tensor the walk never
+    reaches gets zeros.
     """
     rec = loss._record
     if rec is None:
         raise ValueError("backward: loss was not produced under an active ComputationRecord")
-    if loss.values.size != 1:
-        raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
+    scalar = loss.values.size == 1
+    if not scalar and loss.values.ndim != 1:
+        raise ValueError(f"backward: loss must be a scalar or a vector, got shape {loss.shape}")
+    seed = np.ones((1,) + loss.shape) if scalar else np.eye(loss.values.size)
+    channels = seed.shape[:1]
+    grads: dict[int, np.ndarray] = {id(loss): seed}
     for node in reversed(rec.nodes):
         g = grads.get(id(node.output))
         if g is None:
@@ -385,12 +403,13 @@ def backward(loss: Tensor, wrt) -> list[np.ndarray]:
             buf = grads.get(id(t))
             if buf is None:
                 # Zeros then add: ``part`` may be a view of ``g``.
-                buf = grads[id(t)] = np.zeros(t.values.shape)
+                buf = grads[id(t)] = np.zeros(channels + t.values.shape)
             if node.kind == "row_lookup":
                 np.add.at(buf, *part)
             else:
                 buf += part
-    return [grads[id(t)] if id(t) in grads else np.zeros(t.values.shape) for t in wrt]
+    out = [grads[id(t)] if id(t) in grads else np.zeros(channels + t.values.shape) for t in wrt]
+    return [g[0] for g in out] if scalar else out
 
 
 def grad_check(build_loss, params, epsilon=1e-5, tolerance=1e-4, analytic_scale=1.0):

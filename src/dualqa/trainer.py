@@ -4,10 +4,11 @@ Each step takes a minibatch of positive pairs plus sampled negatives,
 builds both model objectives on one computation record — the selection
 model's NLL over positives and negatives, the generator's NLL over
 positives, and for each positive a squared gap between the two
-log-factorizations of P(q, a) — then backpropagates each objective
-separately and applies AdaDelta.  The regularizer enters the selection
-update weighted by lambda_a and the generation update weighted by
-lambda_q; shared embeddings receive contributions from both.
+log-factorizations of P(q, a) — then differentiates both objectives in
+one reverse walk, one gradient channel each, and applies AdaDelta.  The
+regularizer enters the selection update weighted by lambda_a and the
+generation update weighted by lambda_q; shared embeddings receive
+contributions from both.
 """
 
 from __future__ import annotations
@@ -362,13 +363,22 @@ class DualTrainer:
         dual_mean = dual_sum.item() / m if dual_sum is not None else 0.0
         self._check_finite(qa_loss=qa_mean, qg_loss=qg_mean, dual_loss=dual_mean)
 
-        # Two walks over one record: each model's update uses only its own
-        # objective's gradients; the shared embeddings sum both, QA's first.
+        # One walk over the record.  Each model's update uses only its own
+        # objective's gradients and the shared embeddings sum both.  Without
+        # the duality term the two graphs meet only at the shared embeddings,
+        # so the summed objective on one channel gives exactly that;
+        # otherwise the walk carries one channel per objective.
         shared, qa_own, qg_own = self._groups
-        qa_grads = ad.backward(objective_qa, shared + qa_own)
-        qg_grads = ad.backward(objective_qg, shared + qg_own)
-        n = len(shared)
-        grads = [a + b for a, b in zip(qa_grads[:n], qg_grads[:n])] + qa_grads[n:] + qg_grads[n:]
+        with record:
+            if dual_sum is None:
+                loss = ad.add(objective_qa, objective_qg)
+            else:
+                loss = ad.concat([objective_qa, objective_qg], axis="rows")
+        grads = ad.backward(loss, shared + qa_own + qg_own)
+        if dual_sum is not None:
+            n, n_qa = len(shared), len(shared) + len(qa_own)
+            grads = ([g[0] + g[1] for g in grads[:n]] + [g[0] for g in grads[n:n_qa]]
+                     + [g[1] for g in grads[n_qa:]])
         # Dropping the nodes breaks the tensor -> record -> node cycles, so
         # reference counting, not the cyclic collector, frees the tape.
         record.clear()

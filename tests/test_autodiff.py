@@ -174,10 +174,11 @@ class TestBackwardAnchors:
 
 class TestBackwardErrors:
     def test_loss_must_be_scalar(self):
-        x = ad.Tensor([1.0, 2.0])
+        # A vector loss is differentiated channel by channel; a matrix is not.
+        x = ad.Tensor(np.ones((2, 2)))
         with ad.ComputationRecord():
             y = ad.square(x)
-        with pytest.raises(ValueError, match="scalar"):
+        with pytest.raises(ValueError, match=r"scalar or a vector.*\(2, 2\)"):
             ad.backward(y, [x])
 
     def test_loss_without_record(self):
@@ -282,6 +283,24 @@ class TestPrimitiveGradients:
         make_inputs, op = PRIMITIVE_CASES[case]
         err = ad.grad_check(_scalarized(op, rng), make_inputs(rng), epsilon=1e-5, tolerance=1e-4)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))
+    def test_vector_loss_rows_match_scalar_walks(self, case):
+        """Two probes of the op's output give a 2-entry loss; one walk must
+        return the two gradients that one scalar walk per probe gives."""
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        make_inputs, op = PRIMITIVE_CASES[case]
+        inputs = make_inputs(rng)
+        with ad.ComputationRecord():
+            out = op(inputs)
+            probes = [ad.Tensor(rng.normal(size=out.shape)) for _ in range(2)]
+            losses = [ad.reduce_sum(ad.elementwise_mul(out, p)) for p in probes]
+            vector = ad.concat(losses, axis="rows")
+        jacobians = ad.backward(vector, inputs)
+        for row, loss in enumerate(losses):
+            for jac, grad in zip(jacobians, ad.backward(loss, inputs)):
+                assert jac.shape == (2,) + grad.shape
+                np.testing.assert_allclose(jac[row], grad, rtol=0, atol=1e-12)
 
     def test_cases_cover_every_kind_a_toy_dual_step_records(self, tmp_path):
         checked = set()

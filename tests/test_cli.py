@@ -131,6 +131,16 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg_path)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_real_divergence_is_3_and_names_the_step(self, tmp_path, capsys):
+        # A learning rate of 1e300 blows the first update up so far that the
+        # next forward pass overflows: the second step (step 1) is NaN.
+        write_rows(tmp_path / "train.tsv")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(make_config(
+            tmp_path, dev_path=None, batch_size=4, learning_rate=1e300)))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert "error: non-finite qa_loss (nan) at step 1" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

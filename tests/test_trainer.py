@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
 from dualqa import bigram, qa, qg, text, trainer
 
 from helpers import (
-    TINY_DIMS, make_small_trainer, make_tiny_models, small_corpus, toy_dual_objectives,
+    SMALL_ROWS, TINY_DIMS, make_small_trainer, make_tiny_models, small_corpus, toy_dual_objectives,
     unique_tensors,
 )
 
@@ -191,6 +191,96 @@ class TestTrainingObjectiveGradients:
             ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
 
 
+LAMBDAS = [(0.1, 0.1), (0.1, 0.0), (0.0, 0.1), (0.0, 0.0)]
+
+
+def two_walk_gradients(dual, batch, use_dual):
+    """The update gradients from one reverse walk per objective: ``qa.*``
+    from the selection objective, ``qg.*`` from the generation objective
+    and the shared embeddings from both, in parameter order."""
+    record, objective_qa, objective_qg, *_ = dual._batch_objectives(batch, use_dual)
+    tensors = [t for _, t in dual.parameters]
+    from_qa = ad.backward(objective_qa, tensors)
+    from_qg = ad.backward(objective_qg, tensors)
+    record.clear()
+    return [a + b if name.startswith("shared.") else a if name.startswith("qa.") else b
+            for (name, _), a, b in zip(dual.parameters, from_qa, from_qg)]
+
+
+def step_gradients(dual, batch, use_dual):
+    """The gradients one step hands to the optimizer (which is stubbed, so
+    the parameters stay put), after asserting the step walked once."""
+    applied, walks = [], []
+    real_backward = ad.backward
+
+    def counting_backward(*args):
+        walks.append(args[0])
+        return real_backward(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "backward", counting_backward)
+        mp.setattr(dual, "_apply_updates", applied.append)
+        (dual.train_step if use_dual else dual.independent_step)(batch)
+    assert len(walks) == 1
+    (grads,) = applied
+    return grads
+
+
+def assert_one_walk_matches_two(dual, batch, use_dual):
+    want = two_walk_gradients(dual, batch, use_dual)
+    got = step_gradients(dual, batch, use_dual)
+    assert len(got) == len(want)
+    for (name, t), g, w in zip(dual.parameters, got, want):
+        assert g.shape == t.shape, name
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+# Drawn words stay inside each side's vocabulary, so answers with
+# different tokens have different ids and contrast with each other.
+QUESTION_WORDS, ANSWER_WORDS = (
+    sorted({tok for row in SMALL_ROWS for tok in row[col].split()}) for col in (2, 3))
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-4 positives with questions and answers of 1-7 tokens, each with a
+    negative answer; every positive keeps a non-empty contrast set."""
+    question = st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=7)
+    answer = st.lists(st.sampled_from(ANSWER_WORDS), min_size=1, max_size=7)
+    rows = [(draw(question), draw(answer), draw(answer))
+            for _ in range(draw(st.integers(1, 4)))]
+    negative_answers = [neg for *_, neg in rows]
+    assume(all(any(neg != a for neg in negative_answers) for _, a, _ in rows))
+    return text.TrainingBatch(
+        [text.QAPair(q, a, f"p{i}", 1) for i, (q, a, _) in enumerate(rows)],
+        [text.QAPair(q, neg, f"n{i}", 0) for i, (q, _, neg) in enumerate(rows)])
+
+
+@pytest.fixture(scope="module")
+def small_pairs(tmp_path_factory):
+    return small_corpus(tmp_path_factory.mktemp("small"))
+
+
+class TestOneWalkMatchesTwoWalks:
+    """``train_step`` differentiates both objectives in a single reverse
+    walk; its update gradients must equal one walk per objective."""
+
+    @pytest.mark.parametrize("lambdas", LAMBDAS)
+    @pytest.mark.parametrize("use_dual", [True, False])
+    def test_objective_gradient_batch(self, small_pairs, lambdas, use_dual):
+        dual = make_small_trainer(small_pairs, *lambdas)
+        (batch,) = text.make_batches(small_pairs, 4, 2, seed=7)
+        assert batch.size == 4
+        assert_one_walk_matches_two(dual, batch, use_dual)
+
+    @pytest.mark.parametrize("lambdas", LAMBDAS)
+    @settings(deadline=None, max_examples=12)
+    @given(batch=ragged_batches(), seed=st.integers(0, 50))
+    def test_ragged_batches(self, small_pairs, lambdas, batch, seed):
+        dual = make_small_trainer(small_pairs, *lambdas, seed=seed)
+        assert_one_walk_matches_two(dual, batch, use_dual=True)
+
+
 class TestTrainStep:
     def _batches(self, pairs, n, batch_size=4, seed=7):
         batches = list(text.make_batches(pairs, batch_size, 2, seed=seed))
@@ -296,7 +386,7 @@ class TestTapeSize:
 
     def test_toy_dual_step_records_at_most_7300_nodes(self, tmp_path):
         record, objective_qa, objective_qg, *_ = toy_dual_objectives(tmp_path)
-        # The record both backward walks of train_step see.
+        # The record train_step's backward walk sees.
         assert objective_qa._record is record and objective_qg._record is record
         assert len(record.nodes) <= 7300
 
