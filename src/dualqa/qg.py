@@ -147,29 +147,20 @@ class _Beam:
         self.finished = finished
 
 
+def _top_ids(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the ``k`` best scores, best first and ties to the lower id:
+    ``np.argsort(-scores, kind="stable")[:k]``, but only the ids at or
+    above the k-th best score are sorted."""
+    kth = max(scores.size - k, 0)
+    cut = np.partition(scores, kth)[kth]
+    ids = (scores >= cut).nonzero()[0]
+    return ids[np.argsort(-scores[ids], kind="stable")[:k]]
+
+
 def greedy_decode(a_ids: list[int], max_len: int, params: QGParams) -> BeamHypothesis:
-    """Argmax decoding until EOS or max_len; ties pick the lowest id."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    with ad.no_recording():
-        H, state = encode_answer(a_ids, params)
-        keys = ad.matmul(H, params.att_encoder)
-        history = ad.zeros(H.shape[1])
-        prev = SOS_ID
-        tokens: list[int] = []
-        rows: list[np.ndarray] = []
-        log_prob = 0.0
-        for _ in range(max_len):
-            log_probs, state, alpha, context = decode_step(prev, state, H, keys, history, params)
-            token = int(np.argmax(log_probs.values))
-            tokens.append(token)
-            rows.append(alpha.values.copy())
-            log_prob += float(log_probs.values[token])
-            history = context
-            prev = token
-            if token == EOS_ID:
-                break
-    return BeamHypothesis(tokens, log_prob, rows, True)
+    """Argmax decoding until EOS or max_len, ties to the lowest id: a beam
+    of one."""
+    return beam_search(a_ids, 1, max_len, params)[0]
 
 
 def beam_search(a_ids: list[int], beam_size: int, max_len: int,
@@ -196,13 +187,12 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
                 log_probs, state, alpha, context = decode_step(prev, beam.state, H, keys,
                                                                 beam.history, params)
                 # Each live beam contributes at most beam_size extensions.
-                top = np.argsort(-log_probs.values, kind="stable")[:beam_size]
+                top = _top_ids(log_probs.values, beam_size)
                 row = alpha.values.copy()
-                for token in top:
-                    token = int(token)
+                for token, log_prob in zip(top.tolist(), log_probs.values[top].tolist()):
                     pool.append(_Beam(
                         beam.tokens + [token],
-                        beam.log_prob + float(log_probs.values[token]),
+                        beam.log_prob + log_prob,
                         beam.rows + [row],
                         state,
                         context,

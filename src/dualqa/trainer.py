@@ -1,18 +1,21 @@
 """Joint training loop.
 
 Each step takes a minibatch of positive pairs plus sampled negatives,
-builds both model objectives on one computation record — the selection
+builds three loss sums on one computation record — the selection
 model's NLL over positives and negatives, the generator's NLL over
 positives, and for each positive a squared gap between the two
-log-factorizations of P(q, a) — then differentiates both objectives in
-one reverse walk, one gradient channel each, and applies AdaDelta.  The
-regularizer enters the selection update weighted by lambda_a and the
-generation update weighted by lambda_q; shared embeddings receive
-contributions from both.
+log-factorizations of P(q, a) — and the objectives as one weight matrix
+times those sums: the selection row weights the gap by lambda_a, the
+generation row by lambda_q.  One reverse walk gives one gradient channel
+per row; each model's tensors take their own row's channel, the shared
+embeddings the sum of both, and AdaDelta applies the update.  A numpy
+overflow or invalid operation during a step aborts it with a
+``NumericalError`` naming the step.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -256,9 +259,14 @@ class DualTrainer:
         self.vocab_a = vocab_a
         self.config = config
         self.parameters = named_parameters(qa_params, qg_params)
-        # Shared, selection-only and generation-only tensors, in parameter order.
-        self._groups = [[t for name, t in self.parameters if name.startswith(group)]
-                        for group in ("shared.", "qa.", "qg.")]
+        # Each tensor's update from its (channels, *shape) gradient: selection
+        # takes the first channel, generation the last, shared the sum.
+        self._channel_rule = [
+            (lambda g: g[0]) if name.startswith("qa.") else
+            (lambda g: g[-1]) if name.startswith("qg.") else
+            (lambda g: functools.reduce(np.add, g))
+            for name, _ in self.parameters
+        ]
         self.opt_state = {name: AdaDeltaState.zeros_like(t) for name, t in self.parameters}
         self.global_step = 0
 
@@ -279,7 +287,11 @@ class DualTrainer:
             adadelta_update(tensor, grad, self.opt_state[name], self.config)
 
     def _batch_objectives(self, batch: TrainingBatch, use_dual: bool):
-        """Build the per-batch loss sums on one record.
+        """``(record, objectives, qa_sum, qg_sum, dual_sum)`` of one batch:
+        ``objectives`` is a weight matrix times the stacked sums, with rows
+        [1/m, 0, lambda_a/m] and [0, 1/m, lambda_q/m] over the three sums,
+        or, without the duality term, the one row [1/m, 1/m] over the first
+        two and a constant zero ``dual_sum``.
 
         Question/answer encodings are memoized by id sequence so the
         negatives' answers are encoded once and reused by every
@@ -339,51 +351,44 @@ class DualTrainer:
                         scores,
                     ))
 
-            m = batch.size
-            cfg = self.config
-            objective_qa = qa_sum
-            objective_qg = qg_sum
-            if dual_sum is not None and cfg.lambda_a > 0:
-                objective_qa = ad.add(qa_sum, ad.scalar_scale(dual_sum, cfg.lambda_a))
-            if dual_sum is not None and cfg.lambda_q > 0:
-                objective_qg = ad.add(qg_sum, ad.scalar_scale(dual_sum, cfg.lambda_q))
-            objective_qa = ad.scalar_scale(objective_qa, 1.0 / m)
-            objective_qg = ad.scalar_scale(objective_qg, 1.0 / m)
-        return record, objective_qa, objective_qg, qa_sum, qg_sum, dual_sum
+            # lambda * (1.0 / m), in that order, rounds each gradient as
+            # (sum + lambda * dual_sum) / m does, bit for bit.
+            s, cfg = 1.0 / batch.size, self.config
+            if dual_sum is None:
+                dual_sum = ad.zeros(())
+                sums, weights = [qa_sum, qg_sum], [[s, s]]
+            else:
+                sums = [qa_sum, qg_sum, dual_sum]
+                weights = [[s, 0.0, cfg.lambda_a * s], [0.0, s, cfg.lambda_q * s]]
+            objectives = ad.matmul(ad.Tensor(weights), ad.concat(sums, axis="rows"))
+        return record, objectives, qa_sum, qg_sum, dual_sum
 
     def _step(self, batch: TrainingBatch, use_dual: bool):
+        """One reverse walk over the objectives, one channel per row.  With
+        one row the two graphs meet only at the shared embeddings, so its
+        sum is each model's own objective there.  A numpy overflow or
+        invalid value is a ``NumericalError`` naming the step."""
         m = batch.size
         if m < 1:
             raise ValueError("empty batch")
-        record, objective_qa, objective_qg, qa_sum, qg_sum, dual_sum = \
-            self._batch_objectives(batch, use_dual)
-
-        qa_mean = qa_sum.item() / m
-        qg_mean = qg_sum.item() / m
-        dual_mean = dual_sum.item() / m if dual_sum is not None else 0.0
-        self._check_finite(qa_loss=qa_mean, qg_loss=qg_mean, dual_loss=dual_mean)
-
-        # One walk over the record.  Each model's update uses only its own
-        # objective's gradients and the shared embeddings sum both.  Without
-        # the duality term the two graphs meet only at the shared embeddings,
-        # so the summed objective on one channel gives exactly that;
-        # otherwise the walk carries one channel per objective.
-        shared, qa_own, qg_own = self._groups
-        with record:
-            if dual_sum is None:
-                loss = ad.add(objective_qa, objective_qg)
-            else:
-                loss = ad.concat([objective_qa, objective_qg], axis="rows")
-        grads = ad.backward(loss, shared + qa_own + qg_own)
-        if dual_sum is not None:
-            n, n_qa = len(shared), len(shared) + len(qa_own)
-            grads = ([g[0] + g[1] for g in grads[:n]] + [g[0] for g in grads[n:n_qa]]
-                     + [g[1] for g in grads[n_qa:]])
-        # Dropping the nodes breaks the tensor -> record -> node cycles, so
-        # reference counting, not the cyclic collector, frees the tape.
-        record.clear()
-
-        self._apply_updates(grads)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                record, objectives, qa_sum, qg_sum, dual_sum = \
+                    self._batch_objectives(batch, use_dual)
+                qa_mean, qg_mean, dual_mean = (qa_sum.item() / m, qg_sum.item() / m,
+                                               dual_sum.item() / m)
+                self._check_finite(qa_loss=qa_mean, qg_loss=qg_mean, dual_loss=dual_mean)
+                grads = ad.backward(objectives, [t for _, t in self.parameters])
+                # Dropping the nodes breaks the tensor -> record -> node cycles,
+                # so reference counting, not the cyclic collector, frees the tape.
+                record.clear()
+                # A one-entry objective comes back without its channel axis.
+                k = objectives.values.size
+                self._apply_updates([take(g.reshape((k,) + t.shape))
+                                     for take, (_, t), g in zip(self._channel_rule,
+                                                                self.parameters, grads)])
+        except FloatingPointError as e:
+            raise NumericalError(f"{e} at step {self.global_step}") from None
         self.global_step += 1
         return qa_mean, qg_mean, dual_mean
 

@@ -78,8 +78,9 @@ def make_small_trainer(pairs, lambda_q=0.1, lambda_a=0.1, seed=11, dims=TINY_DIM
 
 
 def toy_dual_objectives(tmp_path):
-    """``_batch_objectives`` of one toy dual step: acceptance criterion 7's
-    corpus, dims, batch size and seed, lambda 0.1."""
+    """``_batch_objectives`` of one toy dual step, ``(record, objectives,
+    qa_sum, qg_sum, dual_sum)``: acceptance criterion 7's corpus, dims,
+    batch size and seed, lambda 0.1."""
     train_rows, _ = toy.generate_corpus()
     toy.write_tsv(train_rows, tmp_path / "train.tsv")
     pairs = text.load_tsv(tmp_path / "train.tsv")

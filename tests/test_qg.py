@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
 from dualqa import qa, qg, text
@@ -30,6 +32,17 @@ def sharpened_models():
     nats, so most tokens' probabilities underflow to zero in float64."""
     models = make_tiny_models(seed=0)
     models[1].output_projection.values *= 5000.0
+    return models
+
+
+def models_for(case):
+    """The tiny pair of seed ``case``, the sharpened pair, or ("zeroed")
+    one whose output logits are all zero, so every step is a full tie."""
+    if case == "sharpened":
+        return sharpened_models()
+    models = make_tiny_models(seed=0 if case == "zeroed" else case)
+    if case == "zeroed":
+        models[1].output_projection.values[...] = 0.0
     return models
 
 
@@ -222,13 +235,9 @@ class TestTeacherForcingMatchesPerTokenDecoding:
     CASES = [0, 1, 2, 3, 4, "sharpened"]
     PAIRS = [(Q_IDS, A_IDS), ([4, 5, 6], [6, 7]), ([9, 9, 3, 12], [5])]
 
-    @staticmethod
-    def models_for(case):
-        return sharpened_models() if case == "sharpened" else make_tiny_models(seed=case)
-
     @pytest.mark.parametrize("case", CASES)
     def test_value(self, case):
-        _, qg_params = self.models_for(case)
+        _, qg_params = models_for(case)
         with ad.no_recording():
             for q_ids, a_ids in self.PAIRS:
                 got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
@@ -237,7 +246,7 @@ class TestTeacherForcingMatchesPerTokenDecoding:
 
     @pytest.mark.parametrize("case", CASES)
     def test_gradients(self, case):
-        models = self.models_for(case)
+        models = models_for(case)
         params = model_tensors(models, "qg")
         for q_ids, a_ids in self.PAIRS:
             grads = []
@@ -250,7 +259,7 @@ class TestTeacherForcingMatchesPerTokenDecoding:
 
     @pytest.mark.parametrize("case", CASES)
     def test_finished_beams_score_as_teacher_forced(self, case):
-        _, qg_params = self.models_for(case)
+        _, qg_params = models_for(case)
         checked = 0
         for a_ids in (A_IDS, [6, 7], [5], [5, 8, 10, 6, 4]):
             # A hypothesis of EOS alone is left out: it has no question to score.
@@ -271,14 +280,46 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         assert kinds["log_softmax"] <= 3 * 16
 
 
+def argmax_decode(a_ids, max_len, qg_params):
+    """Greedy decoding as a chain of ``decode_step`` argmaxes until EOS or
+    ``max_len``: (tokens, summed log-probability, attention rows)."""
+    with ad.no_recording():
+        H, state = qg.encode_answer(a_ids, qg_params)
+        k = keys(H, qg_params)
+        history, prev = ad.zeros(H.shape[1]), text.SOS_ID
+        tokens, log_prob, rows = [], 0.0, []
+        while len(tokens) < max_len and prev != EOS_ID:
+            log_probs, state, alpha, history = qg.decode_step(prev, state, H, k, history,
+                                                              qg_params)
+            prev = int(np.argmax(log_probs.values))
+            tokens.append(prev)
+            log_prob += float(log_probs.values[prev])
+            rows.append(alpha.values)
+    return tokens, log_prob, rows
+
+
 class TestBeamSearch:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_beam_one_equals_greedy(self, seed):
-        _, qg_params = make_tiny_models(seed=seed)
-        greedy = qg.greedy_decode(A_IDS, 12, qg_params)
-        beam = qg.beam_search(A_IDS, 1, 12, qg_params)[0]
-        assert beam.tokens == greedy.tokens
-        assert beam.log_prob == pytest.approx(greedy.log_prob, abs=1e-12)
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, "sharpened", "zeroed"])
+    def test_beam_one_equals_greedy(self, case):
+        _, qg_params = models_for(case)
+        for a_ids in (A_IDS, [6, 7], [5], [5, 8, 10, 6, 4]):
+            tokens, log_prob, rows = argmax_decode(a_ids, 12, qg_params)
+            for h in (qg.greedy_decode(a_ids, 12, qg_params),
+                      qg.beam_search(a_ids, 1, 12, qg_params)[0]):
+                assert h.tokens == tokens and h.log_prob == log_prob and h.finished
+                assert len(h.attention_rows) == len(rows)
+                for got, want in zip(h.attention_rows, rows):
+                    np.testing.assert_array_equal(got, want)
+
+    # Few distinct values, so the k-th best score is usually tied; k runs
+    # past the vector's length.
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30).flatmap(
+        lambda xs: st.tuples(st.just(xs), st.integers(1, len(xs) + 3))))
+    def test_top_ids_match_a_stable_sort(self, scores_k):
+        scores, k = scores_k
+        s = np.array(scores, dtype=np.float64)
+        np.testing.assert_array_equal(qg._top_ids(s, k), np.argsort(-s, kind="stable")[:k])
 
     def test_hypotheses_sorted_and_terminated(self, models):
         _, qg_params = models

@@ -171,9 +171,10 @@ class TestTrainingObjectiveGradients:
         assert batch.size == 4
 
         def build(_):
-            _, objective_qa, objective_qg, _, _, dual_sum = dual._batch_objectives(batch, True)
-            assert dual_sum is not None
-            return objective_qa if which == "qa" else objective_qg
+            record, objectives, *_ = dual._batch_objectives(batch, True)
+            assert objectives.shape == (2,)
+            with record:
+                return ad.row_lookup(objectives, 0 if which == "qa" else 1)
         return dual, build
 
     def test_selection_objective(self, tmp_path):
@@ -197,8 +198,19 @@ LAMBDAS = [(0.1, 0.1), (0.1, 0.0), (0.0, 0.1), (0.0, 0.0)]
 def two_walk_gradients(dual, batch, use_dual):
     """The update gradients from one reverse walk per objective: ``qa.*``
     from the selection objective, ``qg.*`` from the generation objective
-    and the shared embeddings from both, in parameter order."""
-    record, objective_qa, objective_qg, *_ = dual._batch_objectives(batch, use_dual)
+    and the shared embeddings from both, in parameter order.  Each
+    objective is composed from the batch sums one scale or add node at a
+    time."""
+    record, _, qa_sum, qg_sum, dual_sum = dual._batch_objectives(batch, use_dual)
+    cfg = dual.config
+    with record:
+        objective_qa, objective_qg = qa_sum, qg_sum
+        if use_dual and cfg.lambda_a > 0:
+            objective_qa = ad.add(qa_sum, ad.scalar_scale(dual_sum, cfg.lambda_a))
+        if use_dual and cfg.lambda_q > 0:
+            objective_qg = ad.add(qg_sum, ad.scalar_scale(dual_sum, cfg.lambda_q))
+        objective_qa = ad.scalar_scale(objective_qa, 1.0 / batch.size)
+        objective_qg = ad.scalar_scale(objective_qg, 1.0 / batch.size)
     tensors = [t for _, t in dual.parameters]
     from_qa = ad.backward(objective_qa, tensors)
     from_qg = ad.backward(objective_qg, tensors)
@@ -385,9 +397,9 @@ class TestTapeSize:
         assert [node.kind for node in rec.nodes] == ["gru_cell"]
 
     def test_toy_dual_step_records_at_most_7300_nodes(self, tmp_path):
-        record, objective_qa, objective_qg, *_ = toy_dual_objectives(tmp_path)
-        # The record train_step's backward walk sees.
-        assert objective_qa._record is record and objective_qg._record is record
+        record, objectives, *_ = toy_dual_objectives(tmp_path)
+        # The record train_step's backward walk sees: one row per objective.
+        assert objectives._record is record and objectives.shape == (2,)
         assert len(record.nodes) <= 7300
 
 
