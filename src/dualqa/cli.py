@@ -298,7 +298,7 @@ def _decode_question(ckpt: trainer.Checkpoint, answer_tokens, max_len: int):
 def cmd_eval_qg(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
     pairs = load_tsv(args.data)
-    max_len = int(ckpt.config.get("max_len", 30))
+    max_len = int(ckpt.config.get("max_len", RunConfig.max_len))
     candidates = []
     references = []
     for pair in pairs:
@@ -315,8 +315,9 @@ def cmd_eval_qg(args) -> int:
 
 def cmd_generate(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
-    beam_size = args.beam if args.beam is not None else int(ckpt.config.get("beam_size", 5))
-    max_len = int(ckpt.config.get("max_len", 30))
+    beam_size = (args.beam if args.beam is not None
+                 else int(ckpt.config.get("beam_size", RunConfig.beam_size)))
+    max_len = int(ckpt.config.get("max_len", RunConfig.max_len))
     try:
         with open(args.data, encoding="utf-8") as f:
             lines = f.read().splitlines()

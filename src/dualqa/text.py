@@ -86,11 +86,11 @@ def build_vocab(corpus: list[list[str]], max_size: int) -> Vocabulary:
 
 
 def cooccurrence_count(question_tokens: list[str], answer_tokens: list[str]) -> int:
-    """Number of distinct token types shared by both sides, clipped to 9
-    so it indexes a 10-row embedding table."""
+    """Number of distinct token types shared by both sides; the selection
+    model clips it to its co-occurrence table's last row."""
     if not question_tokens or not answer_tokens:
         raise DataError("empty sequence")
-    return min(len(set(question_tokens) & set(answer_tokens)), 9)
+    return len(set(question_tokens) & set(answer_tokens))
 
 
 @dataclass

@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import os
-import struct
+import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,7 +49,7 @@ __all__ = [
     "Checkpoint",
 ]
 
-CHECKPOINT_MAGIC = b"DUALQA1"
+CHECKPOINT_MAGIC = b"DUALQA2"
 
 
 class NumericalError(RuntimeError):
@@ -421,120 +421,93 @@ def _canonical_json(obj) -> bytes:
 
 def save_checkpoint(path, qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a,
                     config: dict):
-    """Binary snapshot: magic, count-prefixed named f64 records, then
-    vocabularies, LM counts, and the config as canonical JSON blobs.
-    Written atomically via a temp file."""
+    """Write ``CHECKPOINT_MAGIC``, a u64 header length, a canonical-JSON
+    header (each record's name and shape in ``named_parameters`` order, the
+    vocabularies, the LM counts and the config), every record's values as
+    one little-endian f64 body, and a CRC-32 of everything after the magic.
+    Records stream to a temp file that then atomically replaces ``path``."""
     params = named_parameters(qa_params, qg_params)
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", len(params))
-    for name, tensor in params:
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-        shape = tensor.values.shape
-        out += struct.pack("<I", len(shape))
-        for dim in shape:
-            out += struct.pack("<Q", dim)
-        out += np.ascontiguousarray(tensor.values, dtype="<f8").tobytes()
-    blobs = [
-        _canonical_json(vocab_q.id_to_token),
-        _canonical_json(vocab_a.id_to_token),
-        _canonical_json({"question": lm_q.to_dict(), "answer": lm_a.to_dict()}),
-        _canonical_json(config),
-    ]
-    for blob in blobs:
-        out += struct.pack("<I", len(blob))
-        out += blob
+    header = _canonical_json({
+        "records": [[name, list(tensor.shape)] for name, tensor in params],
+        "vocab_q": vocab_q.id_to_token,
+        "vocab_a": vocab_a.id_to_token,
+        "lms": {"question": lm_q.to_dict(), "answer": lm_a.to_dict()},
+        "config": config,
+    })
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
-        f.write(out)
+        f.write(CHECKPOINT_MAGIC)
+        crc = 0
+        for chunk in (len(header).to_bytes(8, "little"), header,
+                      *(np.ascontiguousarray(t.values, dtype="<f8") for _, t in params)):
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(crc.to_bytes(4, "little"))
     os.replace(tmp, path)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("truncated checkpoint file")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def text(self) -> str:
-        try:
-            return self.take(self.u32()).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError("checkpoint text is not valid UTF-8") from None
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Rebuild models, language models, and vocabularies; the stored
-    records must be the finite ``parameter_layout`` of the stored config
-    and vocabularies, and become the models' tensors."""
+    """Rebuild models, language models, and vocabularies.  The magic, then
+    the CRC-32, then the header's records against the ``parameter_layout``
+    of its config and vocabularies are checked, in that order; the finite
+    records become the models' tensors."""
     try:
         with open(path, "rb") as f:
-            reader = _Reader(f.read())
+            data = f.read()
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint file not found: {path}") from None
-    magic = reader.take(len(CHECKPOINT_MAGIC))
+    magic = data[:len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"checkpoint version mismatch: expected {CHECKPOINT_MAGIC!r}, found {magic!r}"
         )
-    n_records = reader.u32()
-    records: dict[str, np.ndarray] = {}
-    for _ in range(n_records):
-        name = reader.text()
-        rank = reader.u32()
-        shape = tuple(reader.u64() for _ in range(rank))
-        count = math.prod(shape)
-        records[name] = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
-
-    blobs = [reader.text() for _ in range(4)]
-    if reader.pos != len(reader.data):
-        raise CheckpointError(
-            f"checkpoint has {len(reader.data) - reader.pos} trailing bytes after its config"
-        )
+    view = memoryview(data)[len(CHECKPOINT_MAGIC):]
+    if len(view) < 12 or zlib.crc32(view[:-4]) != int.from_bytes(view[-4:], "little"):
+        raise CheckpointError("checkpoint CRC-32 mismatch: truncated or corrupted file")
+    header_end = 8 + int.from_bytes(view[:8], "little")
     try:
-        vocab_q_tokens, vocab_a_tokens, lms, config = [json.loads(blob) for blob in blobs]
+        header = json.loads(bytes(view[8:header_end]))
+        config = header["config"]
         dims = ModelDims(**{f.name: int(config[f.name]) for f in fields(ModelDims)})
-        vocab_q = Vocabulary.from_tokens(vocab_q_tokens[len(RESERVED_TOKENS):])
-        vocab_a = Vocabulary.from_tokens(vocab_a_tokens[len(RESERVED_TOKENS):])
-        lm_q = BigramLM.from_dict(lms["question"])
-        lm_a = BigramLM.from_dict(lms["answer"])
-    except json.JSONDecodeError as e:
+        vocab_q = Vocabulary.from_tokens(header["vocab_q"][len(RESERVED_TOKENS):])
+        vocab_a = Vocabulary.from_tokens(header["vocab_a"][len(RESERVED_TOKENS):])
+        lm_q = BigramLM.from_dict(header["lms"]["question"])
+        lm_a = BigramLM.from_dict(header["lms"]["answer"])
+        records = [(name, tuple(shape)) for name, shape in header["records"]]
+        stored = dict(records)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"checkpoint JSON is malformed: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(
-            f"checkpoint blobs have the wrong structure: {type(e).__name__}: {e}"
+            f"checkpoint header has the wrong structure: {type(e).__name__}: {e}"
         ) from None
     layout = parameter_layout(vocab_q.size, vocab_a.size, dims)
     if len(layout) != len(records):
         raise CheckpointError(
             f"checkpoint holds {len(records)} records, model needs {len(layout)}"
         )
-    tensors = {}
     for name, shape in layout:
-        if name not in records:
+        if name not in stored:
             raise CheckpointError(f"checkpoint is missing record {name!r}")
-        stored = records[name]
-        if stored.shape != shape:
+        if stored[name] != shape:
             raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint has {stored.shape}, model needs {shape}"
+                f"shape mismatch for {name}: checkpoint has {stored[name]}, model needs {shape}"
             )
+    # The records are the layout's, maybe reordered: slice them with its shapes.
+    shapes = dict(layout)
+    sizes = [math.prod(shapes[name]) for name, _ in records]
+    body = view[header_end:-4]
+    if body.nbytes != 8 * sum(sizes):
+        raise CheckpointError(
+            f"checkpoint body holds {body.nbytes} bytes, its records need {8 * sum(sizes)}"
+        )
+    values = np.frombuffer(body, dtype="<f8")
+    tensors, offset = {}, 0
+    for (name, _), size in zip(records, sizes):
         try:
-            tensors[name] = ad.Tensor(stored)
+            tensors[name] = ad.Tensor(values[offset:offset + size].reshape(shapes[name]))
         except ValueError:
             raise CheckpointError(f"checkpoint record {name!r} holds non-finite values") from None
+        offset += size
     qa_params, qg_params = _build_models(tensors)
     return Checkpoint(qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a, config)

@@ -3,7 +3,8 @@ in-memory corpus, sized so full finite-difference checks stay fast."""
 
 import numpy as np
 
-from dualqa import bigram, text, toy, trainer
+from dualqa import autodiff as ad
+from dualqa import bigram, qg, text, toy, trainer
 
 TINY_DIMS = trainer.ModelDims(
     embedding_dim=6, qa_hidden=8, qg_hidden=8, attention_dim=5,
@@ -97,3 +98,26 @@ def toy_dual_objectives(tmp_path):
     batch = next(text.make_batches(pairs, 16, 10, seed=7))
     assert batch.size == 16
     return dual._batch_objectives(batch, use_dual=True)
+
+
+def keys(H, qg_params):
+    """The attention keys of an encoded answer, as the decoders compute them."""
+    return ad.matmul(H, qg_params.att_encoder)
+
+
+def argmax_decode(a_ids, max_len, qg_params):
+    """Greedy decoding as a chain of ``decode_step`` argmaxes until EOS or
+    ``max_len``: (tokens, summed log-probability, attention rows)."""
+    with ad.no_recording():
+        H, state = qg.encode_answer(a_ids, qg_params)
+        k = keys(H, qg_params)
+        history, prev = ad.zeros(H.shape[1]), text.SOS_ID
+        tokens, log_prob, rows = [], 0.0, []
+        while len(tokens) < max_len and prev != text.EOS_ID:
+            log_probs, state, alpha, history = qg.decode_step(prev, state, H, k, history,
+                                                              qg_params)
+            prev = int(np.argmax(log_probs.values))
+            tokens.append(prev)
+            log_prob += float(log_probs.values[prev])
+            rows.append(alpha.values)
+    return tokens, log_prob, rows

@@ -19,7 +19,7 @@ import pytest
 from dualqa import autodiff as ad
 from dualqa import bigram, cli, metrics, qa, qg, text, toy, trainer
 
-from helpers import TINY_DIMS, make_small_trainer, model_tensors, small_corpus
+from helpers import TINY_DIMS, argmax_decode, make_small_trainer, model_tensors, small_corpus
 from test_metrics import brute_average_precision, random_queries
 
 
@@ -200,9 +200,10 @@ def test_criterion_8_decoding_contracts():
         length = int(rng.integers(1, 6))
         a_ids = [int(rng.integers(4, 14)) for _ in range(length)]
         max_len = int(rng.integers(3, 10))
-        greedy = qg.greedy_decode(a_ids, max_len, qg_params)
-        hyps = qg.beam_search(a_ids, 1, max_len, qg_params)
-        assert hyps[0].tokens == greedy.tokens
+        tokens, log_prob, _ = argmax_decode(a_ids, max_len, qg_params)
+        for h in (qg.greedy_decode(a_ids, max_len, qg_params),
+                  qg.beam_search(a_ids, 1, max_len, qg_params)[0]):
+            assert h.tokens == tokens and h.log_prob == log_prob
         for h in qg.beam_search(a_ids, 3, max_len, qg_params):
             assert h.tokens[-1] == text.EOS_ID or len(h.tokens) == max_len
         checked += 1
@@ -213,8 +214,8 @@ def test_criterion_8_decoding_contracts():
     a_ids = [5, 6, 7, 8]
     for h in qg.beam_search(a_ids, 4, 8, qg_params):
         assert "<unk>" not in qg.unk_replace(h, answer_tokens, vocab)
-    report(8, f"beam-1 == greedy on {checked} draws; terminations and "
-              "unk replacement clean")
+    report(8, f"greedy == beam-1 == a decode_step argmax chain on {checked} draws; "
+              "terminations and unk replacement clean")
 
 
 def test_criterion_9_reproducibility(tmp_path):

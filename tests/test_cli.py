@@ -8,6 +8,7 @@ import re
 import shutil
 import struct
 import warnings
+import zlib
 
 import pytest
 
@@ -222,26 +223,33 @@ class TestEvalQA:
 
     def test_checkpoint_with_trailing_bytes_is_2(self, trained, tmp_path, capsys):
         data = (trained / "ckpt" / "final.ckpt").read_bytes()
-        # Give the first record dims whose product wraps to 0 in 64 bits.
-        name_len = struct.unpack_from("<I", data, len(trainer.CHECKPOINT_MAGIC) + 4)[0]
-        rank_at = len(trainer.CHECKPOINT_MAGIC) + 8 + name_len
-        assert struct.unpack_from("<I", data, rank_at)[0] == 2
-        huge = bytearray(data)
-        struct.pack_into("<QQ", huge, rank_at + 4, 2**40, 2**24)
-        # The config is the last blob and ends with "}".
-        # One byte of the LM blob's first key: valid JSON, wrong structure.
-        lm_key = b'{"answer":{"alpha"'
+        magic = trainer.CHECKPOINT_MAGIC
+        header_end = len(magic) + 8 + int.from_bytes(data[len(magic):len(magic) + 8], "little")
+
+        def resealed(edited):
+            """``edited`` with its CRC-32 trailer recomputed, so a later check sees it."""
+            return edited[:-4] + zlib.crc32(edited[len(magic):-4]).to_bytes(4, "little")
+
+        def header_ending(last):
+            """The header's closing "}" replaced by ``last``."""
+            return resealed(data[:header_end - 1] + last + data[header_end:])
+
+        # One byte of the LM object's first key: valid JSON, wrong structure.
+        lm_key = b'"lms":{"answer":{"alpha"'
         assert data.count(lm_key) == 1
         # A NaN as the first value of the first record.
         nan = bytearray(data)
-        struct.pack_into("<d", nan, rank_at + 4 + 16, math.nan)
+        struct.pack_into("<d", nan, header_end, math.nan)
         cases = [
-            (data + b"\0" * 8, "8 trailing bytes"),
-            (bytes(huge), "truncated checkpoint file"),
-            (data[:-1] + b"!", "checkpoint JSON is malformed"),
-            (data[:-1] + b"\xff", "checkpoint text is not valid UTF-8"),
-            (data.replace(lm_key, b'{"bnswer":{"alpha"'), "wrong structure: KeyError: 'answer'"),
-            (bytes(nan), "record 'shared.question_embeddings' holds non-finite values"),
+            (data + b"\0" * 8, "CRC-32 mismatch: truncated or corrupted file"),
+            (data[:-8], "CRC-32 mismatch: truncated or corrupted file"),
+            (b"DUALQA1" + data[len(magic):], "checkpoint version mismatch"),
+            (header_ending(b"!"), "checkpoint JSON is malformed"),
+            (header_ending(b"\xff"), "checkpoint JSON is malformed"),
+            (resealed(data.replace(lm_key, b'"lms":{"bnswer":{"alpha"')),
+             "wrong structure: KeyError: 'answer'"),
+            (resealed(bytes(nan)), "record 'shared.question_embeddings' holds non-finite values"),
+            (resealed(data[:-4] + b"\0" * 8 + data[-4:]), "body holds"),
         ]
         for corrupted, message in cases:
             path = tmp_path / "corrupted.ckpt"

@@ -1,13 +1,14 @@
 """Answer-selection model tests: encoder shapes, score/loss anchors, the
 derived conditional, ranking, and a full-loss gradient check."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dualqa import autodiff as ad
-from dualqa import qa, trainer
+from dualqa import qa, text, trainer
 
 from helpers import TINY_DIMS, make_tiny_models, model_tensors, zero_all
 
@@ -81,6 +82,14 @@ class TestScore:
         high = qa.qa_score(Q_IDS, A_IDS, models[0], 9).item()
         clipped = qa.qa_score(Q_IDS, A_IDS, models[0], 50).item()
         assert high == clipped
+
+    def test_wide_cooc_table_scores_from_the_shared_type_count(self):
+        qa_params, _ = make_tiny_models(dims=dataclasses.replace(TINY_DIMS, cooc_vocab=20))
+        shared = [f"w{i}" for i in range(12)]
+        count = text.cooccurrence_count(shared + ["what", "?"], ["the"] + shared)
+        score = qa.qa_score(Q_IDS, A_IDS, qa_params, count).item()
+        assert score == qa.qa_score(Q_IDS, A_IDS, qa_params, 12).item()
+        assert score != qa.qa_score(Q_IDS, A_IDS, qa_params, 9).item()
 
 
 class TestNLLLoss:

@@ -15,8 +15,8 @@ from dualqa import autodiff as ad
 from dualqa import qa, qg, text
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import (make_small_trainer, make_tiny_models, model_tensors, small_corpus,
-                     toy_dual_objectives, zero_all)
+from helpers import (argmax_decode, keys, make_small_trainer, make_tiny_models, model_tensors,
+                     small_corpus, toy_dual_objectives, zero_all)
 
 Q_IDS = [4, 7]
 A_IDS = [5, 8, 10]
@@ -44,11 +44,6 @@ def models_for(case):
     if case == "zeroed":
         models[1].output_projection.values[...] = 0.0
     return models
-
-
-def keys(H, qg_params):
-    """The attention keys of an encoded answer, as the decoders compute them."""
-    return ad.matmul(H, qg_params.att_encoder)
 
 
 def per_token_log_prob(q_ids, a_ids, qg_params):
@@ -278,24 +273,6 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         # Only the QA side's log-softmaxes remain: two pair losses and one
         # duality conditional per positive.
         assert kinds["log_softmax"] <= 3 * 16
-
-
-def argmax_decode(a_ids, max_len, qg_params):
-    """Greedy decoding as a chain of ``decode_step`` argmaxes until EOS or
-    ``max_len``: (tokens, summed log-probability, attention rows)."""
-    with ad.no_recording():
-        H, state = qg.encode_answer(a_ids, qg_params)
-        k = keys(H, qg_params)
-        history, prev = ad.zeros(H.shape[1]), text.SOS_ID
-        tokens, log_prob, rows = [], 0.0, []
-        while len(tokens) < max_len and prev != EOS_ID:
-            log_probs, state, alpha, history = qg.decode_step(prev, state, H, k, history,
-                                                              qg_params)
-            prev = int(np.argmax(log_probs.values))
-            tokens.append(prev)
-            log_prob += float(log_probs.values[prev])
-            rows.append(alpha.values)
-    return tokens, log_prob, rows
 
 
 class TestBeamSearch:

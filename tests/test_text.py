@@ -88,9 +88,9 @@ class TestCooccurrence:
     def test_disjoint(self):
         assert cooccurrence_count(["a"], ["b"]) == 0
 
-    def test_clips_at_nine(self):
+    def test_counts_past_the_default_table(self):
         shared = [f"w{i}" for i in range(15)]
-        assert cooccurrence_count(shared, shared) == 9
+        assert cooccurrence_count(shared, shared) == 15
 
     def test_counts_types_not_tokens(self):
         assert cooccurrence_count(["x", "x", "x"], ["x"]) == 1

@@ -519,6 +519,21 @@ class TestCheckpoint:
         with pytest.raises(trainer.CheckpointError, match="truncated"):
             trainer.load_checkpoint(path)
 
+    def test_any_single_bit_flip_rejected(self, tmp_path):
+        _, path = self._build(tmp_path)
+        data = path.read_bytes()
+
+        @settings(max_examples=250, deadline=None)
+        @given(st.integers(0, 8 * len(data) - 1))
+        def flipped_bit_rejected(bit):
+            corrupted = bytearray(data)
+            corrupted[bit // 8] ^= 1 << bit % 8
+            path.write_bytes(corrupted)
+            with pytest.raises(trainer.CheckpointError):
+                trainer.load_checkpoint(path)
+
+        flipped_bit_rejected()
+
     def test_bad_magic_rejected(self, tmp_path):
         _, path = self._build(tmp_path)
         data = path.read_bytes()
