@@ -12,11 +12,13 @@ entries is differentiated in the same single walk (vector reverse mode,
 Griewank & Walther 2008, ch. 3): every gradient carries a leading axis of
 k channels, one per entry, so each rule below maps a (k, *output)
 gradient to (k, *input) contributions.
-Desk-scale on purpose: float64 everywhere, three fused primitives (the
-GRU update ``gru_cell``, the max-shifted ``log_softmax``, and
-``target_log_prob``, a whole sequence's output layer and target
-log-probabilities in one node), no sparse storage, no higher-order
-derivatives.
+The GRU cell, attention and the output layer also take B rows in place
+of one vector, which decoding uses; training records the vector forms.
+Desk-scale on purpose: float64 everywhere, four fused primitives (the
+GRU update ``gru_cell``, the max-shifted ``log_softmax``, the decoder's
+output layer ``linear_log_softmax``, and ``target_log_prob``, a whole
+sequence's output layer and target log-probabilities in one node), no
+sparse storage, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -26,33 +28,25 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ComputationRecord",
-    "GradientCheckError",
     "backward",
-    "grad_check",
     "no_recording",
     "zeros",
     "add",
     "elementwise_mul",
     "matmul",
     "concat",
+    "reshape",
     "row_lookup",
     "gru_cell",
     "tanh",
     "softmax_lastdim",
     "log_softmax",
+    "linear_log_softmax",
     "target_log_prob",
     "square",
     "reduce_sum",
     "scalar_scale",
 ]
-
-
-class GradientCheckError(ValueError):
-    """Raised when analytic gradients disagree with central differences."""
-
-    def __init__(self, message, max_relative_error):
-        super().__init__(message)
-        self.max_relative_error = max_relative_error
 
 
 class Tensor:
@@ -214,18 +208,20 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix-matrix, vector-matrix or matrix-vector product."""
+    """Matrix-matrix, vector-matrix or matrix-vector product, or a rank-3
+    block times a vector (one matrix-vector product per leading index)."""
     av, bv = a.values, b.values
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
-        raise ValueError(f"matmul: only 1-D/2-D operands, got {a.shape} and {b.shape}")
-    if av.ndim == bv.ndim == 1:
-        raise ValueError(f"matmul: needs a 2-D operand, got {a.shape} and {b.shape}")
+    if (av.ndim, bv.ndim) not in ((1, 2), (2, 1), (2, 2), (3, 1)):
+        raise ValueError("matmul: needs a 2-D operand, or a 3-D one by a vector, "
+                         f"got {a.shape} and {b.shape}")
     if av.shape[-1] != bv.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def vjp(g):
         if av.ndim == 1:
             return g @ bv.T, av[:, None] * g[:, None, :]
+        if av.ndim == 3:
+            return g[..., None] * bv, g.reshape(g.shape[0], -1) @ av.reshape(-1, bv.size)
         if bv.ndim == 1:
             return g[:, :, None] * bv, g @ av
         return g @ bv.T, av.T @ g
@@ -233,8 +229,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(parts, axis=0) -> Tensor:
-    """Join vectors end to end (``axis=0``), or stack equal-shaped
-    scalars or vectors, one row per input (``axis="rows"``)."""
+    """Join vectors, or matrices with equal leading shape, end to end along
+    the last axis (``axis=0``), or stack equal-shaped scalars or vectors,
+    one row per input (``axis="rows"``)."""
     parts = tuple(parts)
     vals = [t.values for t in parts]
     if axis not in (0, "rows"):
@@ -248,12 +245,21 @@ def concat(parts, axis=0) -> Tensor:
         return _emit("concat", parts, np.stack(vals, axis=0),
                      lambda g: list(g.swapaxes(0, 1)))
     ends = [0]
+    lead = vals[0].shape[:-1]
     for v in vals:
-        if v.ndim != 1:
-            raise ValueError(f"concat: parts must be vectors, got {[v.shape for v in vals]}")
-        ends.append(ends[-1] + v.size)
-    return _emit("concat", parts, np.concatenate(vals),
-                 lambda g: [g[:, i:j] for i, j in zip(ends, ends[1:])])
+        if v.ndim not in (1, 2) or v.shape[:-1] != lead:
+            raise ValueError("concat: parts must be vectors or matrices with equal leading "
+                             f"shape, got {[v.shape for v in vals]}")
+        ends.append(ends[-1] + v.shape[-1])
+    return _emit("concat", parts, np.concatenate(vals, axis=-1),
+                 lambda g: [g[..., i:j] for i, j in zip(ends, ends[1:])])
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    """The same values in a new shape, e.g. a (B, n) block as (B, 1, n)."""
+    v = x.values
+    return _emit("reshape", (x,), v.reshape(shape),
+                 lambda g: (g.reshape(g.shape[:1] + v.shape),))
 
 
 def row_lookup(table: Tensor, indices) -> Tensor:
@@ -273,25 +279,34 @@ def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
              U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
     """One bias-free GRU update (Cho et al. 2014) as a single node:
     z = sigmoid(W_z x + U_z h), r = sigmoid(W_r x + U_r h),
-    c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h."""
+    c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h.
+    ``x`` and ``h`` may be (B, in) and (B, hidden) blocks of B states."""
     inputs = (x, h, W_z, U_z, W_r, U_r, W_h, U_h)
     x, h, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
-    z = _stable_sigmoid(W_z @ x + U_z @ h)
-    r = _stable_sigmoid(W_r @ x + U_r @ h)
-    rh = r * h
-    c = np.tanh(W_h @ x + U_h @ rh)
+    rows = x.ndim == 2  # then each row is taken as a column of x.T
+    xc, hc = (x.T, h.T) if rows else (x, h)
+    z = _stable_sigmoid(W_z @ xc + U_z @ hc)
+    r = _stable_sigmoid(W_r @ xc + U_r @ hc)
+    rh = r * hc
+    c = np.tanh(W_h @ xc + U_h @ rh)
+    if rows:
+        z, r, rh, c = z.T, r.T, rh.T, c.T
 
     def vjp(g):
         # Gradients of the three pre-activations, then of the cell's inputs;
-        # a (channels, n) row times W is W^T applied to each channel.
+        # a (channels, ..., n) gradient times W is W^T applied to each row.
         a_h = g * z * (1.0 - c * c)
         a_z = g * (c - h) * z * (1.0 - z)
         g_rh = a_h @ U_h
         a_r = g_rh * h * r * (1.0 - r)
-        a_z3, a_r3, a_h3 = a_z[:, :, None], a_r[:, :, None], a_h[:, :, None]
-        return (a_z @ W_z + a_r @ W_r + a_h @ W_h,
-                g * (1.0 - z) + g_rh * r + a_z @ U_z + a_r @ U_r,
-                a_z3 * x, a_z3 * h, a_r3 * x, a_r3 * h, a_h3 * x, a_h3 * rh)
+        d_x = a_z @ W_z + a_r @ W_r + a_h @ W_h
+        d_h = g * (1.0 - z) + g_rh * r + a_z @ U_z + a_r @ U_r
+        if not rows:  # one outer product per weight
+            a_z3, a_r3, a_h3 = a_z[:, :, None], a_r[:, :, None], a_h[:, :, None]
+            return d_x, d_h, a_z3 * x, a_z3 * h, a_r3 * x, a_r3 * h, a_h3 * x, a_h3 * rh
+        # Rows: one product per weight sums over the row axis.
+        return d_x, d_h, *(a.swapaxes(1, 2) @ v for a, v in
+                           ((a_z, x), (a_z, h), (a_r, x), (a_r, h), (a_h, x), (a_h, rh)))
     return _emit("gru_cell", inputs, z * c + (1.0 - z) * h, vjp)
 
 
@@ -322,14 +337,33 @@ def log_softmax(x: Tensor) -> Tensor:
                  lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
 
 
+def _output_log_softmax(kind, xv, wv, ranks):
+    """log(softmax(X W^T)) over the last axis, for an ``X`` of rank in ``ranks``."""
+    if xv.ndim not in ranks or wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
+        raise ValueError(f"{kind}: incompatible shapes {xv.shape} and {wv.shape}")
+    return _log_softmax(xv @ wv.T)
+
+
+def linear_log_softmax(X: Tensor, W: Tensor) -> Tensor:
+    """log(softmax(W x)) for a vector ``X``, or for each row x of a (B, n)
+    block: the output layer of one decoding step as one node."""
+    xv, wv = X.values, W.values
+    y = _output_log_softmax("linear_log_softmax", xv, wv, (1, 2))
+
+    def vjp(g):
+        G = g - np.exp(y) * g.sum(axis=-1, keepdims=True)
+        rows = G.reshape(g.shape[0], -1, wv.shape[0])
+        return G @ wv, rows.swapaxes(1, 2) @ xv.reshape(-1, wv.shape[1])
+    return _emit("linear_log_softmax", (X, W), y, vjp)
+
+
 def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
     """Sum over the rows x_t of ``X`` of log(softmax(W x_t))[targets[t]]:
     one product ``X @ W.T``, one max-shifted log-softmax per row and one
     gather, so the gradient of ``W`` is one product rather than one outer
     product per row."""
     xv, wv = X.values, W.values
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
-        raise ValueError(f"target_log_prob: incompatible shapes {X.shape} and {W.shape}")
+    y = _output_log_softmax("target_log_prob", xv, wv, (2,))
     cols = np.array([int(t) for t in targets], dtype=np.intp)
     if cols.shape != (xv.shape[0],):
         raise ValueError(f"target_log_prob: {cols.size} targets for {xv.shape[0]} rows")
@@ -338,7 +372,6 @@ def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
     if bad.size:
         raise IndexError(f"target_log_prob: target {bad[0]} out of range for {n} classes")
     rows = np.arange(cols.size)
-    y = _log_softmax(xv @ wv.T)
 
     def vjp(g):
         # G = g * (onehot(targets) - softmax) per channel; then dX = G W and
@@ -410,48 +443,3 @@ def backward(loss: Tensor, wrt) -> list[np.ndarray]:
                 buf += part
     out = [grads[id(t)] if id(t) in grads else np.zeros(channels + t.values.shape) for t in wrt]
     return [g[0] for g in out] if scalar else out
-
-
-def grad_check(build_loss, params, epsilon=1e-5, tolerance=1e-4, analytic_scale=1.0):
-    """Compare backward() gradients against central finite differences.
-
-    ``build_loss(params)`` must deterministically rebuild the scalar loss
-    from the given parameter tensors.  Returns the max relative error
-    over every entry of every parameter,
-    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``, and
-    raises :class:`GradientCheckError` when it exceeds ``tolerance``.
-    ``analytic_scale`` deliberately corrupts the analytic side so
-    negative controls can prove the check is able to fail.
-    """
-    if epsilon <= 0:
-        raise ValueError("grad_check: epsilon must be positive")
-    with ComputationRecord():
-        loss = build_loss(params)
-    base = loss.item()
-    analytic = [g * analytic_scale for g in backward(loss, params)]
-    with no_recording():
-        again = build_loss(params).item()
-        if again != base:
-            raise ValueError("grad_check: build_loss is not deterministic")
-        max_err = 0.0
-        for p, ana in zip(params, analytic):
-            flat = p.values.reshape(-1)
-            aflat = ana.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                hi = build_loss(params).item()
-                flat[i] = orig - epsilon
-                lo = build_loss(params).item()
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * epsilon)
-                a = aflat[i]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                if err > max_err:
-                    max_err = err
-    if max_err > tolerance:
-        raise GradientCheckError(
-            f"gradient check failed: max relative error {max_err:.3e} > {tolerance:.1e}",
-            max_err,
-        )
-    return max_err

@@ -5,7 +5,8 @@ attention-driven UNK replacement.
 The decoder state width equals the encoder's concatenated output (twice
 the per-direction hidden size) so the encoder summary seeds the decoder
 directly.  Cumulative log-probability scores beams; no length
-normalization.
+normalization.  Decoding advances every live beam at once: their states
+and attention histories are the rows of one block.
 """
 
 from __future__ import annotations
@@ -72,12 +73,15 @@ def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Te
     previous step's attention-weighted sum (zero at the first step).
     ``keys`` is ``H @ att_encoder``, fixed for the whole answer, so
     callers compute it once per answer (Bahdanau et al. 2015, appendix A).
+    ``s_t`` and ``history`` may be (B, 2h) blocks, one row per decoder.
 
-    Returns (weights over positions, context vector).
+    Returns (weights over positions, context vector), in rows for blocks.
     """
+    def per_position(t):  # a (B, att) block meets the (T, att) keys as (B, 1, att)
+        return t if t.values.ndim == 1 else ad.reshape(t, (t.shape[0], 1, t.shape[1]))
     projected = ad.add(
-        ad.add(keys, ad.matmul(s_t, params.att_state)),
-        ad.matmul(history, params.att_history),
+        ad.add(keys, per_position(ad.matmul(s_t, params.att_state))),
+        per_position(ad.matmul(history, params.att_history)),
     )
     scores = ad.matmul(ad.tanh(projected), params.att_vector)
     alpha = ad.softmax_lastdim(scores)
@@ -85,20 +89,22 @@ def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Te
     return alpha, context
 
 
-def decode_step(prev_token_id: int, state: ad.Tensor, H: ad.Tensor, keys: ad.Tensor,
+def decode_step(prev_ids, state: ad.Tensor, H: ad.Tensor, keys: ad.Tensor,
                 history: ad.Tensor, params: QGParams):
-    """Advance the decoder one step.
+    """Advance the decoder one step, from one previous token id and state
+    and history vectors, or from B ids and (B, 2h) blocks (B decoders).
 
     Returns (log-probabilities over the question vocabulary, new state,
-    attention weights, context vector); the context is the next step's
-    attention history.  The log-probabilities come from one max-shifted
-    log-softmax, so they are finite even where a probability underflows.
+    attention weights, context vector), in rows for blocks; the context
+    is the next step's attention history.  The log-probabilities come
+    from one max-shifted log-softmax, so they are finite even where a
+    probability underflows.
     """
-    embedded = ad.row_lookup(params.question_embeddings, int(prev_token_id))
+    embedded = ad.row_lookup(params.question_embeddings, prev_ids)
     s_t = gru_step(params.decoder, embedded, state)
     alpha, context = attention_step(s_t, H, keys, history, params)
-    logits = ad.matmul(params.output_projection, ad.concat([s_t, context]))
-    return ad.log_softmax(logits), s_t, alpha, context
+    log_probs = ad.linear_log_softmax(ad.concat([s_t, context]), params.output_projection)
+    return log_probs, s_t, alpha, context
 
 
 def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
@@ -135,16 +141,12 @@ class BeamHypothesis:
     finished: bool
 
 
+@dataclass(slots=True)
 class _Beam:
-    __slots__ = ("tokens", "log_prob", "rows", "state", "history", "finished")
-
-    def __init__(self, tokens, log_prob, rows, state, history, finished):
-        self.tokens = tokens
-        self.log_prob = log_prob
-        self.rows = rows
-        self.state = state
-        self.history = history
-        self.finished = finished
+    tokens: list[int]
+    log_prob: float
+    rows: list[np.ndarray]
+    block_row: int  # its state's row in the block of the step that made it
 
 
 def _top_ids(scores: np.ndarray, k: int) -> np.ndarray:
@@ -169,7 +171,8 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
 
     Hypotheses emitting EOS are finished and keep competing in the pool;
     survivors are forcibly finished at ``max_len``.  Output is sorted by
-    log-probability descending.
+    log-probability descending.  Each step is one ``decode_step`` on the
+    block of every live beam's state and history.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -178,34 +181,30 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
     with ad.no_recording():
         H, s0 = encode_answer(a_ids, params)
         keys = ad.matmul(H, params.att_encoder)
-        live = [_Beam([], 0.0, [], s0, ad.zeros(H.shape[1]), False)]
+        states, histories = ad.concat([s0], axis="rows"), ad.zeros((1, H.shape[1]))
+        live = [_Beam([], 0.0, [], 0)]
         finished: list[_Beam] = []
         for _ in range(max_len):
+            prev = [beam.tokens[-1] if beam.tokens else SOS_ID for beam in live]
+            log_probs, states, alpha, histories = decode_step(prev, states, H, keys,
+                                                              histories, params)
             pool = list(finished)
-            for beam in live:
-                prev = beam.tokens[-1] if beam.tokens else SOS_ID
-                log_probs, state, alpha, context = decode_step(prev, beam.state, H, keys,
-                                                                beam.history, params)
+            for i, (beam, scores, row) in enumerate(zip(live, log_probs.values, alpha.values)):
+                row = row.copy()  # a view would keep the whole block alive
                 # Each live beam contributes at most beam_size extensions.
-                top = _top_ids(log_probs.values, beam_size)
-                row = alpha.values.copy()
-                for token, log_prob in zip(top.tolist(), log_probs.values[top].tolist()):
-                    pool.append(_Beam(
-                        beam.tokens + [token],
-                        beam.log_prob + log_prob,
-                        beam.rows + [row],
-                        state,
-                        context,
-                        token == EOS_ID,
-                    ))
+                top = _top_ids(scores, beam_size)
+                for token, log_prob in zip(top.tolist(), scores[top].tolist()):
+                    pool.append(_Beam(beam.tokens + [token], beam.log_prob + log_prob,
+                                      beam.rows + [row], i))
             pool.sort(key=lambda b: -b.log_prob)
             kept = pool[:beam_size]
-            live = [b for b in kept if not b.finished]
-            finished = [b for b in kept if b.finished]
+            live = [b for b in kept if b.tokens[-1] != EOS_ID]
+            finished = [b for b in kept if b.tokens[-1] == EOS_ID]
             if not live:
                 break
-        for beam in live:
-            beam.finished = True
+            # The survivors' rows of this step's block, in their new order.
+            parents = [b.block_row for b in live]
+            states, histories = ad.row_lookup(states, parents), ad.row_lookup(histories, parents)
         finished += live
         finished.sort(key=lambda b: -b.log_prob)
     return [

@@ -10,7 +10,8 @@ generation row by lambda_q.  One reverse walk gives one gradient channel
 per row; each model's tensors take their own row's channel, the shared
 embeddings the sum of both, and AdaDelta applies the update.  A numpy
 overflow or invalid operation during a step aborts it with a
-``NumericalError`` naming the step.
+``NumericalError`` naming the step and its phase: a loss term, the
+backward pass or the AdaDelta update.
 """
 
 from __future__ import annotations
@@ -300,77 +301,86 @@ class DualTrainer:
         """
         record = ad.ComputationRecord()
         dual_lambda_active = use_dual and (self.config.lambda_a > 0 or self.config.lambda_q > 0)
-        with record:
-            cache: dict[tuple, ad.Tensor] = {}
+        phase = "selection loss"
+        try:
+            with record:
+                cache: dict[tuple, ad.Tensor] = {}
 
-            def enc(ids, side):
-                key = (side, tuple(ids))
-                if key not in cache:
-                    cache[key] = qa_mod.encode_bigru(ids, side, self.qa_params)
-                return cache[key]
+                def enc(ids, side):
+                    key = (side, tuple(ids))
+                    if key not in cache:
+                        cache[key] = qa_mod.encode_bigru(ids, side, self.qa_params)
+                    return cache[key]
 
-            encoded = []
-            for pos, neg in zip(batch.positives, batch.negatives):
-                qp_ids, ap_ids = self._encode(pos)
-                qn_ids, an_ids = self._encode(neg)
-                encoded.append((pos, neg, qp_ids, ap_ids, qn_ids, an_ids))
-            # Every positive's contrast set comes from the batch's negative answers.
-            contrast_ids = [an_ids for *_, an_ids in encoded]
+                encoded = []
+                for pos, neg in zip(batch.positives, batch.negatives):
+                    qp_ids, ap_ids = self._encode(pos)
+                    qn_ids, an_ids = self._encode(neg)
+                    encoded.append((pos, neg, qp_ids, ap_ids, qn_ids, an_ids))
+                # Every positive's contrast set comes from the batch's negative answers.
+                contrast_ids = [an_ids for *_, an_ids in encoded]
 
-            qa_sum = None
-            qg_sum = None
-            dual_sum = None
-            for pos, neg, qp_ids, ap_ids, qn_ids, an_ids in encoded:
-                cooc_pos = cooccurrence_count(pos.question_tokens, pos.answer_tokens)
-                cooc_neg = cooccurrence_count(neg.question_tokens, neg.answer_tokens)
-                v_q_pos = enc(qp_ids, "question")
-                v_a_pos = enc(ap_ids, "answer")
-                qa_sum = _accumulate(qa_sum, ad.add(
-                    qa_mod.qa_nll_loss_from_vectors(
-                        v_q_pos, v_a_pos, 1, cooc_pos, self.qa_params),
-                    qa_mod.qa_nll_loss_from_vectors(
-                        enc(qn_ids, "question"), enc(an_ids, "answer"), 0, cooc_neg,
-                        self.qa_params),
-                ))
-                seq_lp = qg_mod.sequence_log_prob(qp_ids, ap_ids, self.qg_params)
-                qg_sum = _accumulate(qg_sum, ad.scalar_scale(seq_lp, -1.0))
-                if dual_lambda_active:
-                    scores = [qa_mod.qa_score_from_vectors(
-                        v_q_pos, v_a_pos, cooc_pos, self.qa_params)]
-                    for j in contrast_indices(ap_ids, contrast_ids):
-                        scores.append(qa_mod.qa_score_from_vectors(
-                            v_q_pos, enc(contrast_ids[j], "answer"),
-                            cooccurrence_count(pos.question_tokens,
-                                               batch.negatives[j].answer_tokens),
-                            self.qa_params,
-                        ))
-                    dual_sum = _accumulate(dual_sum, dual_loss(
-                        self.lm_a.sentence_log_prob(pos.answer_tokens),
-                        seq_lp,
-                        self.lm_q.sentence_log_prob(pos.question_tokens),
-                        scores,
+                qa_sum = None
+                qg_sum = None
+                dual_sum = None
+                for pos, neg, qp_ids, ap_ids, qn_ids, an_ids in encoded:
+                    cooc_pos = cooccurrence_count(pos.question_tokens, pos.answer_tokens)
+                    cooc_neg = cooccurrence_count(neg.question_tokens, neg.answer_tokens)
+                    phase = "selection loss"
+                    v_q_pos = enc(qp_ids, "question")
+                    v_a_pos = enc(ap_ids, "answer")
+                    qa_sum = _accumulate(qa_sum, ad.add(
+                        qa_mod.qa_nll_loss_from_vectors(
+                            v_q_pos, v_a_pos, 1, cooc_pos, self.qa_params),
+                        qa_mod.qa_nll_loss_from_vectors(
+                            enc(qn_ids, "question"), enc(an_ids, "answer"), 0, cooc_neg,
+                            self.qa_params),
                     ))
+                    phase = "generation loss"
+                    seq_lp = qg_mod.sequence_log_prob(qp_ids, ap_ids, self.qg_params)
+                    qg_sum = _accumulate(qg_sum, ad.scalar_scale(seq_lp, -1.0))
+                    if dual_lambda_active:
+                        phase = "duality term"
+                        scores = [qa_mod.qa_score_from_vectors(
+                            v_q_pos, v_a_pos, cooc_pos, self.qa_params)]
+                        for j in contrast_indices(ap_ids, contrast_ids):
+                            scores.append(qa_mod.qa_score_from_vectors(
+                                v_q_pos, enc(contrast_ids[j], "answer"),
+                                cooccurrence_count(pos.question_tokens,
+                                                   batch.negatives[j].answer_tokens),
+                                self.qa_params,
+                            ))
+                        dual_sum = _accumulate(dual_sum, dual_loss(
+                            self.lm_a.sentence_log_prob(pos.answer_tokens),
+                            seq_lp,
+                            self.lm_q.sentence_log_prob(pos.question_tokens),
+                            scores,
+                        ))
 
-            # lambda * (1.0 / m), in that order, rounds each gradient as
-            # (sum + lambda * dual_sum) / m does, bit for bit.
-            s, cfg = 1.0 / batch.size, self.config
-            if dual_sum is None:
-                dual_sum = ad.zeros(())
-                sums, weights = [qa_sum, qg_sum], [[s, s]]
-            else:
-                sums = [qa_sum, qg_sum, dual_sum]
-                weights = [[s, 0.0, cfg.lambda_a * s], [0.0, s, cfg.lambda_q * s]]
-            objectives = ad.matmul(ad.Tensor(weights), ad.concat(sums, axis="rows"))
+                phase = "objectives"
+                # lambda * (1.0 / m), in that order, rounds each gradient as
+                # (sum + lambda * dual_sum) / m does, bit for bit.
+                s, cfg = 1.0 / batch.size, self.config
+                if dual_sum is None:
+                    dual_sum = ad.zeros(())
+                    sums, weights = [qa_sum, qg_sum], [[s, s]]
+                else:
+                    sums = [qa_sum, qg_sum, dual_sum]
+                    weights = [[s, 0.0, cfg.lambda_a * s], [0.0, s, cfg.lambda_q * s]]
+                objectives = ad.matmul(ad.Tensor(weights), ad.concat(sums, axis="rows"))
+        except FloatingPointError as e:
+            raise NumericalError(f"{e} in the {phase} at step {self.global_step}") from None
         return record, objectives, qa_sum, qg_sum, dual_sum
 
     def _step(self, batch: TrainingBatch, use_dual: bool):
         """One reverse walk over the objectives, one channel per row.  With
         one row the two graphs meet only at the shared embeddings, so its
         sum is each model's own objective there.  A numpy overflow or
-        invalid value is a ``NumericalError`` naming the step."""
+        invalid value is a ``NumericalError`` naming the step and phase."""
         m = batch.size
         if m < 1:
             raise ValueError("empty batch")
+        phase = "backward pass"  # _batch_objectives names its own phases
         try:
             with np.errstate(over="raise", invalid="raise"):
                 record, objectives, qa_sum, qg_sum, dual_sum = \
@@ -382,13 +392,14 @@ class DualTrainer:
                 # Dropping the nodes breaks the tensor -> record -> node cycles,
                 # so reference counting, not the cyclic collector, frees the tape.
                 record.clear()
+                phase = "AdaDelta update"
                 # A one-entry objective comes back without its channel axis.
                 k = objectives.values.size
                 self._apply_updates([take(g.reshape((k,) + t.shape))
                                      for take, (_, t), g in zip(self._channel_rule,
                                                                 self.parameters, grads)])
         except FloatingPointError as e:
-            raise NumericalError(f"{e} at step {self.global_step}") from None
+            raise NumericalError(f"{e} in the {phase} at step {self.global_step}") from None
         self.global_step += 1
         return qa_mean, qg_mean, dual_mean
 

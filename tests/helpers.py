@@ -1,5 +1,7 @@
 """Shared builders for the test suite: tiny model instances and a small
-in-memory corpus, sized so full finite-difference checks stay fast."""
+in-memory corpus, sized so full finite-difference checks stay fast; the
+finite-difference gradient check; and reference decoders that the
+program's decoders are compared with."""
 
 import numpy as np
 
@@ -121,3 +123,87 @@ def argmax_decode(a_ids, max_len, qg_params):
             log_prob += float(log_probs.values[prev])
             rows.append(alpha.values)
     return tokens, log_prob, rows
+
+
+def per_beam_search(a_ids, beam_size, max_len, qg_params):
+    """Beam search with one vector ``decode_step`` per live beam per step,
+    the pool and tie rule of ``qg.beam_search``: (tokens, log-probability,
+    attention rows) of each hypothesis, best first."""
+    with ad.no_recording():
+        H, s0 = qg.encode_answer(a_ids, qg_params)
+        k = keys(H, qg_params)
+        # (tokens, log_prob, rows, state, history, finished)
+        live = [([], 0.0, [], s0, ad.zeros(H.shape[1]), False)]
+        finished = []
+        for _ in range(max_len):
+            pool = list(finished)
+            for tokens, log_prob, rows, state, history, _ in live:
+                prev = tokens[-1] if tokens else text.SOS_ID
+                log_probs, state, alpha, context = qg.decode_step(prev, state, H, k, history,
+                                                                  qg_params)
+                top = qg._top_ids(log_probs.values, beam_size)
+                for token in top.tolist():
+                    pool.append((tokens + [token], log_prob + float(log_probs.values[token]),
+                                 rows + [alpha.values], state, context, token == text.EOS_ID))
+            pool.sort(key=lambda b: -b[1])
+            kept = pool[:beam_size]
+            live = [b for b in kept if not b[5]]
+            finished = [b for b in kept if b[5]]
+            if not live:
+                break
+        finished += live
+        finished.sort(key=lambda b: -b[1])
+    return [(tokens, log_prob, rows) for tokens, log_prob, rows, *_ in finished[:beam_size]]
+
+
+class GradientCheckError(ValueError):
+    """Raised when analytic gradients disagree with central differences."""
+
+    def __init__(self, message, max_relative_error):
+        super().__init__(message)
+        self.max_relative_error = max_relative_error
+
+
+def grad_check(build_loss, params, epsilon=1e-5, tolerance=1e-4, analytic_scale=1.0):
+    """Compare backward() gradients against central finite differences.
+
+    ``build_loss(params)`` must deterministically rebuild the scalar loss
+    from the given parameter tensors.  Returns the max relative error
+    over every entry of every parameter,
+    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``, and
+    raises :class:`GradientCheckError` when it exceeds ``tolerance``.
+    ``analytic_scale`` deliberately corrupts the analytic side so
+    negative controls can prove the check is able to fail.
+    """
+    if epsilon <= 0:
+        raise ValueError("grad_check: epsilon must be positive")
+    with ad.ComputationRecord():
+        loss = build_loss(params)
+    base = loss.item()
+    analytic = [g * analytic_scale for g in ad.backward(loss, params)]
+    with ad.no_recording():
+        again = build_loss(params).item()
+        if again != base:
+            raise ValueError("grad_check: build_loss is not deterministic")
+        max_err = 0.0
+        for p, ana in zip(params, analytic):
+            flat = p.values.reshape(-1)
+            aflat = ana.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                hi = build_loss(params).item()
+                flat[i] = orig - epsilon
+                lo = build_loss(params).item()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * epsilon)
+                a = aflat[i]
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                if err > max_err:
+                    max_err = err
+    if max_err > tolerance:
+        raise GradientCheckError(
+            f"gradient check failed: max relative error {max_err:.3e} > {tolerance:.1e}",
+            max_err,
+        )
+    return max_err

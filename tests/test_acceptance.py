@@ -19,7 +19,8 @@ import pytest
 from dualqa import autodiff as ad
 from dualqa import bigram, cli, metrics, qa, qg, text, toy, trainer
 
-from helpers import TINY_DIMS, argmax_decode, make_small_trainer, model_tensors, small_corpus
+from helpers import (TINY_DIMS, argmax_decode, grad_check, make_small_trainer, model_tensors,
+                     small_corpus)
 from test_metrics import brute_average_precision, random_queries
 
 
@@ -44,14 +45,14 @@ def test_criterion_1_gradient_correctness():
         return qa.qa_nll_loss_from_vectors(*encodings(), 1, 2, qa_params)
 
     qa_tensors = model_tensors((qa_params, qg_params), "qa")
-    err_a = ad.grad_check(qa_nll, qa_tensors, epsilon=1e-5)
+    err_a = grad_check(qa_nll, qa_tensors, epsilon=1e-5)
     assert err_a < 1e-4
 
     qg_tensors = model_tensors((qa_params, qg_params), "qg")
     # eps 1e-4 for the full-model losses: their values are ~10 nats, so a
     # 1e-5 step sits below the float64 rounding floor for the smallest
     # gradient entries; the GRU-cell check in test_autodiff keeps 1e-5.
-    err_b = ad.grad_check(
+    err_b = grad_check(
         lambda _: ad.scalar_scale(qg.sequence_log_prob(q_ids, a_ids, qg_params), -1.0),
         qg_tensors, epsilon=1e-4,
     )
@@ -73,7 +74,7 @@ def test_criterion_1_gradient_correctness():
         )
         return ad.add(loss, ad.scalar_scale(dual, 0.1))
 
-    err_c = ad.grad_check(combined, qa_tensors, epsilon=1e-4)
+    err_c = grad_check(combined, qa_tensors, epsilon=1e-4)
     assert err_c < 1e-4
 
     elapsed = time.monotonic() - start

@@ -2,6 +2,7 @@
 and finite-difference agreement for every primitive."""
 
 import math
+import types
 import zlib
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dualqa import autodiff as ad
+from dualqa import qg
 from dualqa.qa import GRUCellParams, glorot_uniform, gru_step
 
-from helpers import toy_dual_objectives
+from helpers import GradientCheckError, grad_check, toy_dual_objectives
 
 
 def _rand(rng, shape, scale=0.8):
@@ -58,10 +60,16 @@ class TestForwardErrors:
         with pytest.raises(ValueError, match=r"matmul.*\(3,\).*\(3,\)"):
             ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)))
 
-    def test_concat_joins_only_vectors(self):
-        matrices = [ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3)))]
+    def test_concat_joins_vectors_or_matrices_on_the_last_axis(self):
+        matrices = [ad.Tensor(np.ones((2, 3))), ad.Tensor(np.zeros((2, 1)))]
         vectors = [ad.Tensor(np.ones(3)), ad.Tensor(np.ones(2))]
-        for parts, axis in ((matrices, 0), (matrices, 1), (vectors, -1)):
+        np.testing.assert_array_equal(ad.concat(matrices).values, [[1, 1, 1, 0]] * 2)
+        assert ad.concat(vectors).shape == (5,)
+        mismatched = [ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))]
+        rank3 = [ad.Tensor(np.ones((2, 2, 3))), ad.Tensor(np.ones((2, 2, 3)))]
+        mixed = [ad.Tensor(np.ones(3)), ad.Tensor(np.ones((1, 3)))]
+        for parts, axis in ((mismatched, 0), (rank3, 0), (mixed, 0), (matrices, 1),
+                            (vectors, -1)):
             with pytest.raises(ValueError, match="concat"):
                 ad.concat(parts, axis=axis)
 
@@ -259,6 +267,19 @@ PRIMITIVE_CASES = {
     "gru_cell": (lambda rng: [_rand(rng, 3), _rand(rng, 4)]
                  + [_rand(rng, (4, n)) for n in (3, 4) * 3],
                  lambda p: ad.gru_cell(*p)),
+    "gru_cell_rows": (lambda rng: [_rand(rng, (3, 3)), _rand(rng, (3, 4))]
+                      + [_rand(rng, (4, n)) for n in (3, 4) * 3],
+                      lambda p: ad.gru_cell(*p)),
+    "matmul_block_v": (lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, 4)],
+                       lambda p: ad.matmul(p[0], p[1])),
+    "concat_last_axis": (lambda rng: [_rand(rng, (3, 2)), _rand(rng, (3, 4))],
+                         lambda p: ad.concat(p)),
+    "reshape": (lambda rng: [_rand(rng, (3, 4))],
+                lambda p: ad.reshape(p[0], (3, 1, 4))),
+    "linear_log_softmax": (lambda rng: [_rand(rng, 5), _rand(rng, (6, 5))],
+                           lambda p: ad.linear_log_softmax(p[0], p[1])),
+    "linear_log_softmax_rows": (lambda rng: [_rand(rng, (3, 5)), _rand(rng, (6, 5))],
+                                lambda p: ad.linear_log_softmax(p[0], p[1])),
     "tanh": (lambda rng: [_rand(rng, 7)], lambda p: ad.tanh(p[0])),
     "softmax": (lambda rng: [_rand(rng, (3, 6))],
                 lambda p: ad.softmax_lastdim(p[0])),
@@ -273,6 +294,28 @@ PRIMITIVE_CASES = {
 }
 
 
+def _attention(p):
+    """``qg.attention_step`` on tensors; weights and context as one output."""
+    params = types.SimpleNamespace(att_state=p[4], att_history=p[5], att_vector=p[6])
+    return ad.concat(qg.attention_step(p[0], p[1], p[2], p[3], params))
+
+
+# Each row form: inputs with B = 3 rows, the op, and the inputs whose
+# leading axis is the row axis (the rest are shared by every row).
+ROW_FORMS = {
+    "gru_cell": (PRIMITIVE_CASES["gru_cell_rows"][0], lambda p: ad.gru_cell(*p), (0, 1)),
+    "matmul_block_v": (lambda rng: [_rand(rng, (3, 2, 4)), _rand(rng, 4)],
+                       lambda p: ad.matmul(p[0], p[1]), (0,)),
+    "concat_last_axis": (PRIMITIVE_CASES["concat_last_axis"][0], ad.concat, (0, 1)),
+    "linear_log_softmax": (PRIMITIVE_CASES["linear_log_softmax_rows"][0],
+                           lambda p: ad.linear_log_softmax(p[0], p[1]), (0,)),
+    "attention_step": (lambda rng: [_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, (5, 2)),
+                                    _rand(rng, (3, 4)), _rand(rng, (4, 2)), _rand(rng, (4, 2)),
+                                    _rand(rng, 2)],
+                       _attention, (0, 3)),
+}
+
+
 class TestPrimitiveGradients:
     """Central differences at eps=1e-5 within 1e-4 for every primitive on
     random tensors with dims <= 8."""
@@ -281,7 +324,7 @@ class TestPrimitiveGradients:
     def test_matches_finite_differences(self, case):
         rng = np.random.default_rng(zlib.crc32(case.encode()))
         make_inputs, op = PRIMITIVE_CASES[case]
-        err = ad.grad_check(_scalarized(op, rng), make_inputs(rng), epsilon=1e-5, tolerance=1e-4)
+        err = grad_check(_scalarized(op, rng), make_inputs(rng), epsilon=1e-5, tolerance=1e-4)
         assert err < 1e-4
 
     @pytest.mark.parametrize("case", list(PRIMITIVE_CASES))
@@ -301,6 +344,37 @@ class TestPrimitiveGradients:
             for jac, grad in zip(jacobians, ad.backward(loss, inputs)):
                 assert jac.shape == (2,) + grad.shape
                 np.testing.assert_allclose(jac[row], grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", list(ROW_FORMS))
+    def test_row_form_jacobians_equal_per_row_vector_calls(self, case):
+        """A 3-entry loss over a row form's output: its one walk gives the
+        Jacobian rows that the vector form, called row by row on the same
+        probes, gives (rows of the row inputs, summed for shared inputs)."""
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        make_inputs, op, row_inputs = ROW_FORMS[case]
+        inputs = make_inputs(rng)
+        with ad.ComputationRecord():
+            out = op(inputs)
+            probes = [ad.Tensor(rng.normal(size=out.shape)) for _ in range(3)]
+            vector = ad.concat([ad.reduce_sum(ad.elementwise_mul(out, p)) for p in probes],
+                               axis="rows")
+        jacobians = ad.backward(vector, inputs)
+        want = [np.zeros((3,) + t.shape) for t in inputs]
+        for b in range(out.shape[0]):
+            row_call = [ad.Tensor(t.values[b]) if i in row_inputs else t
+                        for i, t in enumerate(inputs)]
+            with ad.ComputationRecord():
+                out_b = op(row_call)
+                vector_b = ad.concat([ad.reduce_sum(ad.elementwise_mul(
+                    out_b, ad.Tensor(p.values[b]))) for p in probes], axis="rows")
+            np.testing.assert_allclose(out_b.values, out.values[b], rtol=0, atol=1e-12)
+            for i, jac in enumerate(ad.backward(vector_b, row_call)):
+                if i in row_inputs:
+                    want[i][:, b] = jac
+                else:
+                    want[i] += jac
+        for got, w in zip(jacobians, want):
+            np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
 
     def test_cases_cover_every_kind_a_toy_dual_step_records(self, tmp_path):
         checked = set()
@@ -383,7 +457,7 @@ class TestGradCheck:
             logits = ad.add(ad.matmul(params[0], params[2]), params[1])
             return ad.scalar_scale(ad.row_lookup(ad.log_softmax(logits), 1), -1.0)
 
-        assert ad.grad_check(build, [W, b, v], epsilon=1e-5) < 1e-4
+        assert grad_check(build, [W, b, v], epsilon=1e-5) < 1e-4
 
     def test_full_gru_cell_three_tokens(self):
         rng = np.random.default_rng(2)
@@ -398,7 +472,7 @@ class TestGradCheck:
                 h = gru_step(cell, x, h)
             return ad.reduce_sum(ad.elementwise_mul(h, probe))
 
-        assert ad.grad_check(build, params, epsilon=1e-5) < 1e-4
+        assert grad_check(build, params, epsilon=1e-5) < 1e-4
 
     def test_corrupted_gradient_fails(self):
         rng = np.random.default_rng(3)
@@ -407,8 +481,8 @@ class TestGradCheck:
         def build(params):
             return ad.reduce_sum(ad.square(params[0]))
 
-        with pytest.raises(ad.GradientCheckError) as excinfo:
-            ad.grad_check(build, [x], analytic_scale=1.1)
+        with pytest.raises(GradientCheckError) as excinfo:
+            grad_check(build, [x], analytic_scale=1.1)
         assert excinfo.value.max_relative_error > 1e-2
 
     def test_nondeterministic_loss_detected(self):
@@ -420,11 +494,11 @@ class TestGradCheck:
             return ad.scalar_scale(ad.reduce_sum(params[0]), float(state["calls"]))
 
         with pytest.raises(ValueError, match="not deterministic"):
-            ad.grad_check(build, [x])
+            grad_check(build, [x])
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError, match="epsilon"):
-            ad.grad_check(lambda p: ad.reduce_sum(p[0]), [ad.Tensor([1.0])], epsilon=0.0)
+            grad_check(lambda p: ad.reduce_sum(p[0]), [ad.Tensor([1.0])], epsilon=0.0)
 
 
 class TestOutputsFinite:

@@ -150,6 +150,24 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_injected_overflow_is_3_and_names_the_phase(self, tmp_path, capsys, monkeypatch):
+        # An output projection scaled to 1e200 keeps the generation loss
+        # finite, but its square in the duality term overflows.
+        def scaled_models(*args, **kwargs):
+            qa_params, qg_params = init_models(*args, **kwargs)
+            qg_params.output_projection.values *= 1e200
+            return qa_params, qg_params
+
+        init_models = trainer.init_models
+        monkeypatch.setattr(trainer, "init_models", scaled_models)
+        write_rows(tmp_path / "train.tsv")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(make_config(tmp_path, dev_path=None, batch_size=4)))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: overflow encountered in \w+ in the duality term at step 0",
+                            err.splitlines()[-1])
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

@@ -10,7 +10,7 @@ import pytest
 from dualqa import autodiff as ad
 from dualqa import qa, text, trainer
 
-from helpers import TINY_DIMS, make_tiny_models, model_tensors, zero_all
+from helpers import TINY_DIMS, grad_check, make_tiny_models, model_tensors, zero_all
 
 Q_IDS = [4, 7, 9]
 A_IDS = [5, 8, 10, 6]
@@ -140,7 +140,7 @@ class TestNLLLoss:
         def build(_):
             return nll(Q_IDS, A_IDS, 1, qa_params, 2)
 
-        assert ad.grad_check(build, params, epsilon=1e-5) < 1e-4
+        assert grad_check(build, params, epsilon=1e-5) < 1e-4
 
 
 class TestConditional:

@@ -15,8 +15,9 @@ from dualqa import autodiff as ad
 from dualqa import qa, qg, text
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import (argmax_decode, keys, make_small_trainer, make_tiny_models, model_tensors,
-                     small_corpus, toy_dual_objectives, zero_all)
+from helpers import (TINY_VOCAB, argmax_decode, grad_check, keys, make_small_trainer,
+                     make_tiny_models, model_tensors, per_beam_search, small_corpus,
+                     toy_dual_objectives, zero_all)
 
 Q_IDS = [4, 7]
 A_IDS = [5, 8, 10]
@@ -220,7 +221,7 @@ class TestSequenceLogProb:
 
         # eps 1e-4: the full-model loss is ~10 nats, so smaller steps sit
         # below the float64 rounding floor for the tiniest gradients.
-        assert ad.grad_check(build, params, epsilon=1e-4) < 1e-4
+        assert grad_check(build, params, epsilon=1e-4) < 1e-4
 
 
 class TestTeacherForcingMatchesPerTokenDecoding:
@@ -287,6 +288,35 @@ class TestBeamSearch:
                 assert len(h.attention_rows) == len(rows)
                 for got, want in zip(h.attention_rows, rows):
                     np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10_000), st.lists(st.integers(4, TINY_VOCAB - 1), min_size=1, max_size=6),
+           st.integers(1, 6), st.integers(1, 10))
+    def test_block_search_matches_per_beam_search(self, seed, a_ids, beam_size, max_len):
+        _, qg_params = make_tiny_models(seed=seed)
+        want = per_beam_search(a_ids, beam_size, max_len, qg_params)
+        got = qg.beam_search(a_ids, beam_size, max_len, qg_params)
+        assert [h.tokens for h in got] == [tokens for tokens, _, _ in want]
+        for h, (_, log_prob, rows) in zip(got, want):
+            assert h.log_prob == pytest.approx(log_prob, rel=0, abs=1e-12)
+            np.testing.assert_allclose(h.attention_rows, rows, rtol=0, atol=1e-12)
+
+    def test_one_decode_step_per_step(self, models, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return decode_step(*args)
+
+        decode_step = qg.decode_step
+        monkeypatch.setattr(qg, "decode_step", spy)
+        max_len = 8
+        qg.beam_search(A_IDS, 5, max_len, models[1])
+        assert 1 <= len(calls) <= max_len
+        # The control: one call per live beam per step makes more.
+        calls.clear()
+        per_beam_search(A_IDS, 5, max_len, models[1])
+        assert len(calls) > max_len
 
     # Few distinct values, so the k-th best score is usually tied; k runs
     # past the vector's length.

@@ -12,8 +12,8 @@ from dualqa import autodiff as ad
 from dualqa import bigram, qa, qg, text, trainer
 
 from helpers import (
-    SMALL_ROWS, TINY_DIMS, make_small_trainer, make_tiny_models, small_corpus, toy_dual_objectives,
-    unique_tensors,
+    SMALL_ROWS, TINY_DIMS, GradientCheckError, grad_check, make_small_trainer, make_tiny_models,
+    small_corpus, toy_dual_objectives, unique_tensors,
 )
 
 
@@ -180,16 +180,16 @@ class TestTrainingObjectiveGradients:
     def test_selection_objective(self, tmp_path):
         dual, build = self._objective(tmp_path, "qa")
         params = [dual.qa_params.output_bias, dual.qa_params.cooc_table]
-        assert ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4) < 1e-4
-        with pytest.raises(ad.GradientCheckError):
-            ad.grad_check(build, params[:1], epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
+        assert grad_check(build, params, epsilon=1e-4, tolerance=1e-4) < 1e-4
+        with pytest.raises(GradientCheckError):
+            grad_check(build, params[:1], epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
 
     def test_generation_objective(self, tmp_path):
         dual, build = self._objective(tmp_path, "qg")
         params = [dual.qg_params.att_vector]
-        assert ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4) < 1e-4
-        with pytest.raises(ad.GradientCheckError):
-            ad.grad_check(build, params, epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
+        assert grad_check(build, params, epsilon=1e-4, tolerance=1e-4) < 1e-4
+        with pytest.raises(GradientCheckError):
+            grad_check(build, params, epsilon=1e-4, tolerance=1e-4, analytic_scale=1.01)
 
 
 LAMBDAS = [(0.1, 0.1), (0.1, 0.0), (0.0, 0.1), (0.0, 0.0)]
@@ -377,6 +377,22 @@ class TestTrainStep:
         with pytest.raises(trainer.NumericalError, match="step 41"):
             dual._check_finite(qa_loss=float("nan"))
 
+    @pytest.mark.parametrize("scaled, lam, phase", [
+        ({"qa.cooc_table": 1e200, "qa.output_weights": 1e200}, 0.0, "selection loss"),
+        ({"qg.output_projection": 1e308}, 0.0, "generation loss"),
+        ({"qg.output_projection": 1e200}, 0.1, "duality term"),
+        ({}, 1e307, "objectives"),
+        ({"qg.output_projection": 1e200}, 0.0, "AdaDelta update"),
+    ])
+    def test_overflow_names_the_phase(self, tmp_path, scaled, lam, phase):
+        pairs = small_corpus(tmp_path)
+        dual = make_small_trainer(pairs, lambda_q=lam, lambda_a=lam)
+        for name, tensor in dual.parameters:
+            tensor.values *= scaled.get(name, 1.0)
+        with pytest.raises(trainer.NumericalError,
+                           match=rf"^overflow encountered in \w+ in the {phase} at step 0$"):
+            dual.train_step(self._batches(pairs, 1)[0])
+
     def test_empty_batch_rejected(self, tmp_path):
         pairs = small_corpus(tmp_path)
         dual = make_small_trainer(pairs)
@@ -401,6 +417,14 @@ class TestTapeSize:
         # The record train_step's backward walk sees: one row per objective.
         assert objectives._record is record and objectives.shape == (2,)
         assert len(record.nodes) <= 7300
+
+    def test_toy_dual_step_tape_holds_no_decode_only_node(self, tmp_path):
+        # Row forms serve decoding; training records the vector forms alone,
+        # node for node as before they existed.
+        record, *_ = toy_dual_objectives(tmp_path)
+        kinds = {node.kind for node in record.nodes}
+        assert not kinds & {"reshape", "linear_log_softmax"}
+        assert len(record.nodes) == 6334
 
 
 class TestNamedParameters:
