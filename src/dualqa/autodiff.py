@@ -13,7 +13,9 @@ Griewank & Walther 2008, ch. 3): every gradient carries a leading axis of
 k channels, one per entry, so each rule below maps a (k, *output)
 gradient to (k, *input) contributions.
 The GRU cell, attention and the output layer also take B rows in place
-of one vector, which decoding uses; training records the vector forms.
+of one vector, which decoding and ranking use; training records the
+vector forms.  ``reduce_sum`` is test support: no code here calls it,
+and the tests build scalar losses with it.
 Desk-scale on purpose: float64 everywhere, four fused primitives (the
 GRU update ``gru_cell``, the max-shifted ``log_softmax``, the decoder's
 output layer ``linear_log_softmax``, and ``target_log_prob``, a whole
@@ -185,12 +187,8 @@ def _unbroadcast(grad, shape):
 
 
 def _stable_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows; exp(x) where x < 0
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -280,17 +278,18 @@ def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
     """One bias-free GRU update (Cho et al. 2014) as a single node:
     z = sigmoid(W_z x + U_z h), r = sigmoid(W_r x + U_r h),
     c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h.
-    ``x`` and ``h`` may be (B, in) and (B, hidden) blocks of B states."""
+    ``x`` and ``h`` may be (B, in) and (B, hidden) blocks of B states;
+    each row then equals the vector call on that row bit for bit."""
     inputs = (x, h, W_z, U_z, W_r, U_r, W_h, U_h)
     x, h, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
-    rows = x.ndim == 2  # then each row is taken as a column of x.T
-    xc, hc = (x.T, h.T) if rows else (x, h)
-    z = _stable_sigmoid(W_z @ xc + U_z @ hc)
-    r = _stable_sigmoid(W_r @ xc + U_r @ hc)
-    rh = r * hc
-    c = np.tanh(W_h @ xc + U_h @ rh)
-    if rows:
-        z, r, rh, c = z.T, r.T, rh.T, c.T
+    rows = x.ndim == 2
+    # Rows: one stacked matrix-vector product per weight.  A GEMM (W @ x.T)
+    # rounds differently from W @ x, even between two equal rows.
+    mv = (lambda W, v: np.matmul(W, v[:, :, None])[:, :, 0]) if rows else np.matmul
+    z = _stable_sigmoid(mv(W_z, x) + mv(U_z, h))
+    r = _stable_sigmoid(mv(W_r, x) + mv(U_r, h))
+    rh = r * h
+    c = np.tanh(mv(W_h, x) + mv(U_h, rh))
 
     def vjp(g):
         # Gradients of the three pre-activations, then of the cell's inputs;

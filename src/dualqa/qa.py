@@ -114,11 +114,32 @@ def bigru_states(ids: list[int], emb: ad.Tensor, fwd: GRUCellParams,
     return states[0], states[1][::-1]
 
 
-def encode_bigru(ids: list[int], side: str, params: QAParams) -> ad.Tensor:
+def encode_bigru(ids: list[int] | list[list[int]], side: str, params: QAParams) -> ad.Tensor:
     """Concatenation of the two final hidden states of a forward and a
-    backward GRU pass, both starting from zero states."""
-    fwd_states, bwd_states = bigru_states(ids, *params._side(side))
-    return ad.concat([fwd_states[-1], bwd_states[0]])
+    backward GRU pass, both starting from zero states.
+
+    ``ids`` may also be a list of B id lists: the result is then a (B, 2h)
+    block whose row b equals ``encode_bigru(ids[b])`` bit for bit.  Each
+    direction steps all lists at once, left-aligned and padded with id 0,
+    and reads a row's final state at its own last token."""
+    if not ids or isinstance(ids[0], (int, np.integer)):
+        fwd_states, bwd_states = bigru_states(ids, *params._side(side))
+        return ad.concat([fwd_states[-1], bwd_states[0]])
+    emb, *cells = params._side(side)
+    lens = [len(seq) for seq in ids]
+    if not min(lens):
+        raise ValueError("encode_bigru: empty input")
+    finals = []
+    for cell, seqs in zip(cells, (ids, [seq[::-1] for seq in ids])):
+        grid = np.zeros((len(ids), max(lens)), dtype=np.intp)
+        for b, seq in enumerate(seqs):
+            grid[b, :lens[b]] = seq
+        hs = [ad.zeros((len(ids), cell.hidden_dim))]
+        for column in grid.T:
+            hs.append(gru_step(cell, ad.row_lookup(emb, column), hs[-1]))
+        finals.append(ad.concat([ad.row_lookup(hs[n], b) for b, n in enumerate(lens)],
+                                axis="rows"))
+    return ad.concat(finals)
 
 
 def qa_logits_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, cooc_count: int,
@@ -166,15 +187,18 @@ def qa_score(q_ids: list[int], a_ids: list[int], params: QAParams,
 
 def candidate_scores(q_ids: list[int], candidates: list[list[int]], params: QAParams,
                      cooc_counts: list[int]) -> list[float]:
-    """Inference-time score of every candidate answer for one question;
-    the question is encoded once."""
+    """Inference-time score of every candidate answer for one question:
+    the question is encoded once, and all candidates as one (B, 2h) block
+    whose rows are their vector encodings bit for bit, so each score equals
+    ``qa_score`` of its pair exactly and equal candidates tie exactly."""
     if not candidates:
         raise ValueError("candidate_scores: empty candidate list")
     with ad.no_recording():
         v_q = encode_bigru(q_ids, "question", params)
+        V = encode_bigru(candidates, "answer", params)
         return [
-            qa_score_from_vectors(v_q, encode_bigru(a_ids, "answer", params), cc, params).item()
-            for a_ids, cc in zip(candidates, cooc_counts)
+            qa_score_from_vectors(v_q, ad.row_lookup(V, b), cc, params).item()
+            for b, cc in zip(range(len(candidates)), cooc_counts)
         ]
 
 

@@ -156,6 +156,18 @@ def per_beam_search(a_ids, beam_size, max_len, qg_params):
     return [(tokens, log_prob, rows) for tokens, log_prob, rows, *_ in finished[:beam_size]]
 
 
+def masked_sigmoid(x):
+    """The numerically stable logistic function written through a sign
+    mask, each side's formula applied to its own entries: the oracle that
+    ``autodiff``'s mask-free form must equal byte for byte."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class GradientCheckError(ValueError):
     """Raised when analytic gradients disagree with central differences."""
 

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,7 +15,7 @@ from dualqa import autodiff as ad
 from dualqa import qg
 from dualqa.qa import GRUCellParams, glorot_uniform, gru_step
 
-from helpers import GradientCheckError, grad_check, toy_dual_objectives
+from helpers import GradientCheckError, grad_check, masked_sigmoid, toy_dual_objectives
 
 
 def _rand(rng, shape, scale=0.8):
@@ -438,6 +438,19 @@ class TestGRUCell:
         weights = [40.0 * rng.uniform(-1, 1, size=(4, n)) for n in (3, 4) * 3]
         assert self._check([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 4)] + weights) >= 40.0
 
+    @pytest.mark.parametrize("B, n_in, n_h", [(10, 100, 50), (5, 100, 128), (4, 20, 12)])
+    def test_rows_equal_vector_calls_exactly(self, B, n_in, n_h):
+        """Each row of a row-form forward is the vector call on that row,
+        bit for bit, a repeated row included."""
+        rng = np.random.default_rng(B * n_in + n_h)
+        x, h = rng.normal(size=(B, n_in)), rng.normal(size=(B, n_h))
+        x[-1], h[-1] = x[0], h[0]
+        weights = [_rand(rng, (n_h, n), 0.3) for n in (n_in, n_h) * 3]
+        block = ad.gru_cell(ad.Tensor(x), ad.Tensor(h), *weights).values
+        for b in range(B):
+            row = ad.gru_cell(ad.Tensor(x[b]), ad.Tensor(h[b]), *weights).values
+            np.testing.assert_array_equal(block[b], row)
+
     def test_zero_weights_halve_the_state(self):
         h = ad.Tensor([0.4, -2.0])
         weights = [ad.zeros((2, n)) for n in (3, 2) * 3]
@@ -446,6 +459,22 @@ class TestGRUCell:
             loss = ad.reduce_sum(out)
         np.testing.assert_array_equal(out.values, [0.2, -1.0])
         np.testing.assert_array_equal(ad.backward(loss, [h])[0], [0.5, 0.5])
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0]
+
+
+class TestStableSigmoid:
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=16),
+                      elements=st.one_of(st.floats(-800, 800), st.sampled_from(SIGMOID_EDGES))))
+    @example(np.array(SIGMOID_EDGES))
+    @example(np.array(SIGMOID_EDGES).reshape(2, 4))
+    def test_equals_masked_form_byte_for_byte(self, x):
+        with np.errstate(over="raise", invalid="raise"):
+            got, want = ad._stable_sigmoid(x), masked_sigmoid(x)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGradCheck:

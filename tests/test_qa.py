@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
 from dualqa import qa, text, trainer
 
-from helpers import TINY_DIMS, grad_check, make_tiny_models, model_tensors, zero_all
+from helpers import (TINY_DIMS, TINY_VOCAB, grad_check, make_tiny_models, model_tensors,
+                     zero_all)
 
 Q_IDS = [4, 7, 9]
 A_IDS = [5, 8, 10, 6]
@@ -202,9 +205,52 @@ class TestRankCandidates:
         order = qa.rank_candidates(Q_IDS, [[5, 6], [5, 6]], models[0], [1, 1])
         assert order == [0, 1]
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_scores_equal_per_pair_scores_exactly(self, data):
+        """Block-encoded scores are the per-pair scores bit for bit, for
+        ragged candidates with verbatim duplicates."""
+        qa_params, _ = make_tiny_models(seed=3)
+        ids = st.lists(st.integers(0, TINY_VOCAB - 1), min_size=1, max_size=12)
+        q_ids = data.draw(ids)
+        distinct = data.draw(st.lists(ids, min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+        candidates = [list(distinct[i]) for i in picks]
+        coocs = [len(c) % 3 for c in candidates]
+        with ad.no_recording():
+            want = [qa.qa_score(q_ids, c, qa_params, cc).item()
+                    for c, cc in zip(candidates, coocs)]
+        assert qa.candidate_scores(q_ids, candidates, qa_params, coocs) == want
+
+    def test_duplicate_ties_at_mid_hidden_keep_lower_index_first(self):
+        """Candidates 7-9 repeat 0-2 verbatim at the mid ``qa_hidden``: each
+        pair ties exactly and ranks lower index first (a GEMM over the rows
+        breaks the ties here)."""
+        qa_params, _ = make_tiny_models(seed=1, dims=dataclasses.replace(TINY_DIMS, qa_hidden=50))
+        rng = np.random.default_rng(1)
+        candidates = [rng.integers(0, TINY_VOCAB, n).tolist() for n in rng.integers(15, 26, 7)]
+        candidates += [list(c) for c in candidates[:3]]
+        coocs = [1] * len(candidates)
+        scores = qa.candidate_scores(Q_IDS, candidates, qa_params, coocs)
+        order = qa.rank_candidates(Q_IDS, candidates, qa_params, coocs)
+        for i in range(3):
+            assert scores[i] == scores[i + 7]
+            assert order.index(i + 7) == order.index(i) + 1
+
+    def test_gru_steps_scale_with_the_longest_candidate(self, models, monkeypatch):
+        """All candidates are encoded together: a per-candidate encoder
+        would step the GRU once per token of every candidate."""
+        calls = []
+        cell = ad.gru_cell
+        monkeypatch.setattr(ad, "gru_cell", lambda *args: calls.append(1) or cell(*args))
+        candidates = [[5, 6, 7], [8], [9, 10], [5, 6, 7], [11, 12, 13, 14]]
+        qa.candidate_scores(Q_IDS, candidates, models[0], [0] * len(candidates))
+        assert 0 < len(calls) <= 2 * (len(Q_IDS) + max(map(len, candidates)))
+
     def test_empty_candidates_rejected(self, models):
-        with pytest.raises(ValueError, match="empty"):
-            qa.rank_candidates(Q_IDS, [], models[0], [])
+        for candidates in ([], [[5], [], [6, 7]]):
+            with pytest.raises(ValueError, match="empty"):
+                qa.rank_candidates(Q_IDS, candidates, models[0], [0] * len(candidates))
 
 
 class TestFeatureDimensions:
