@@ -14,13 +14,15 @@ k channels, one per entry, so each rule below maps a (k, *output)
 gradient to (k, *input) contributions.
 The GRU cell, attention and the output layer also take B rows in place
 of one vector, which decoding and ranking use; training records the
-vector forms.  ``reduce_sum`` is test support: no code here calls it,
-and the tests build scalar losses with it.
-Desk-scale on purpose: float64 everywhere, four fused primitives (the
-GRU update ``gru_cell``, the max-shifted ``log_softmax``, the decoder's
-output layer ``linear_log_softmax``, and ``target_log_prob``, a whole
-sequence's output layer and target log-probabilities in one node), no
-sparse storage, no higher-order derivatives.
+vector forms, and every GRU pass it records is one ``gru_sequence``.
+``reduce_sum`` is test support: no code here calls it, and the tests
+build scalar losses with it.
+Desk-scale on purpose: float64 everywhere, five fused primitives (the
+GRU update ``gru_cell``, a whole GRU pass ``gru_sequence``, the
+max-shifted ``log_softmax``, the decoder's output layer
+``linear_log_softmax``, and ``target_log_prob``, a whole sequence's
+output layer and target log-probabilities in one node), no sparse
+storage, no higher-order derivatives.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "reshape",
     "row_lookup",
     "gru_cell",
+    "gru_sequence",
     "tanh",
     "softmax_lastdim",
     "log_softmax",
@@ -273,6 +276,31 @@ def row_lookup(table: Tensor, indices) -> Tensor:
                  lambda g: (((slice(None), rows), g),))
 
 
+def _gru_gates(mv, p_z, p_r, p_h, h, U_z, U_r, U_h):
+    """z, r, r * h and the candidate c of a GRU update from the input
+    projections p_z = W_z x, p_r = W_r x, p_h = W_h x and the state ``h``."""
+    z = _stable_sigmoid(p_z + mv(U_z, h))
+    r = _stable_sigmoid(p_r + mv(U_r, h))
+    rh = r * h
+    return z, r, rh, np.tanh(p_h + mv(U_h, rh))
+
+
+def _gru_pre_grads(g, z, r, c, h, U_z, U_r, U_h):
+    """Gradients of the three pre-activations and of the previous state
+    ``h`` from the gradient ``g`` of the update's result (channels first)."""
+    a_h = g * z * (1.0 - c * c)
+    a_z = g * (c - h) * z * (1.0 - z)
+    g_rh = a_h @ U_h
+    a_r = g_rh * h * r * (1.0 - r)
+    return a_z, a_r, a_h, g * (1.0 - z) + g_rh * r + a_z @ U_z + a_r @ U_r
+
+
+def _rows_mv(W, v):
+    """``W @ v[b]`` bit for bit for each row b, as one stacked product; a GEMM
+    (W @ v.T) rounds differently from W @ v, even between two equal rows."""
+    return np.matmul(W, v[:, :, None])[:, :, 0]
+
+
 def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
              U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
     """One bias-free GRU update (Cho et al. 2014) as a single node:
@@ -283,23 +311,12 @@ def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
     inputs = (x, h, W_z, U_z, W_r, U_r, W_h, U_h)
     x, h, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
     rows = x.ndim == 2
-    # Rows: one stacked matrix-vector product per weight.  A GEMM (W @ x.T)
-    # rounds differently from W @ x, even between two equal rows.
-    mv = (lambda W, v: np.matmul(W, v[:, :, None])[:, :, 0]) if rows else np.matmul
-    z = _stable_sigmoid(mv(W_z, x) + mv(U_z, h))
-    r = _stable_sigmoid(mv(W_r, x) + mv(U_r, h))
-    rh = r * h
-    c = np.tanh(mv(W_h, x) + mv(U_h, rh))
+    mv = _rows_mv if rows else np.matmul
+    z, r, rh, c = _gru_gates(mv, *(mv(W, x) for W in (W_z, W_r, W_h)), h, U_z, U_r, U_h)
 
     def vjp(g):
-        # Gradients of the three pre-activations, then of the cell's inputs;
-        # a (channels, ..., n) gradient times W is W^T applied to each row.
-        a_h = g * z * (1.0 - c * c)
-        a_z = g * (c - h) * z * (1.0 - z)
-        g_rh = a_h @ U_h
-        a_r = g_rh * h * r * (1.0 - r)
+        a_z, a_r, a_h, d_h = _gru_pre_grads(g, z, r, c, h, U_z, U_r, U_h)
         d_x = a_z @ W_z + a_r @ W_r + a_h @ W_h
-        d_h = g * (1.0 - z) + g_rh * r + a_z @ U_z + a_r @ U_r
         if not rows:  # one outer product per weight
             a_z3, a_r3, a_h3 = a_z[:, :, None], a_r[:, :, None], a_h[:, :, None]
             return d_x, d_h, a_z3 * x, a_z3 * h, a_r3 * x, a_r3 * h, a_h3 * x, a_h3 * rh
@@ -307,6 +324,39 @@ def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
         return d_x, d_h, *(a.swapaxes(1, 2) @ v for a, v in
                            ((a_z, x), (a_z, h), (a_r, x), (a_r, h), (a_h, x), (a_h, rh)))
     return _emit("gru_cell", inputs, z * c + (1.0 - z) * h, vjp)
+
+
+def gru_sequence(X: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
+                 U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
+    """The (T, hidden) states of T ``gru_cell`` updates over the rows of
+    ``X`` (T, in), starting from the state ``h0``, as one node.  Each input
+    projection is one stacked product over all T rows (Appleyard et al.
+    2016) and row t equals the per-token ``gru_cell`` chain bit for bit.
+    The gradient rule runs backpropagation through time (Werbos 1990) and
+    forms each weight's gradient as one product over the T steps."""
+    inputs = (X, h0, W_z, U_z, W_r, U_r, W_h, U_h)
+    X, h0, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
+    if X.ndim != 2 or h0.ndim != 1 or not X.shape[0]:
+        raise ValueError(f"gru_sequence: needs (T >= 1, in) and (h,), got {X.shape}, {h0.shape}")
+    px = [_rows_mv(W, X) for W in (W_z, W_r, W_h)]
+    T = X.shape[0]
+    H = np.empty((T + 1, h0.size))  # row 0 is h0, row t + 1 the state after token t
+    Z, R, RH, C = (np.empty((T, h0.size)) for _ in range(4))
+    H[0] = h0
+    for t, px_t in enumerate(zip(*px)):
+        z, r, rh, c = Z[t], R[t], RH[t], C[t] = _gru_gates(np.matmul, *px_t, H[t], U_z, U_r, U_h)
+        H[t + 1] = z * c + (1.0 - z) * H[t]
+
+    def vjp(g):
+        A = np.empty((3,) + g.shape)  # pre-activation gradients of z, r and c
+        d_h = np.zeros(g.shape[:1] + h0.shape)
+        for t in range(T - 1, -1, -1):
+            A[0, :, t], A[1, :, t], A[2, :, t], d_h = _gru_pre_grads(
+                g[:, t] + d_h, Z[t], R[t], C[t], H[t], U_z, U_r, U_h)
+        a_z, a_r, a_h = A.swapaxes(2, 3)  # each (channels, hidden, T)
+        return (A[0] @ W_z + A[1] @ W_r + A[2] @ W_h, d_h,
+                a_z @ X, a_z @ H[:-1], a_r @ X, a_r @ H[:-1], a_h @ X, a_h @ RH)
+    return _emit("gru_sequence", inputs, H[1:], vjp)
 
 
 def tanh(x: Tensor) -> Tensor:

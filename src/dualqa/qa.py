@@ -62,10 +62,15 @@ class GRUCellParams:
     def hidden_dim(self) -> int:
         return self.W_z.shape[0]
 
+    @property
+    def weights(self) -> tuple[ad.Tensor, ...]:
+        """The six weights in the argument order of the GRU primitives."""
+        return self.W_z, self.U_z, self.W_r, self.U_r, self.W_h, self.U_h
+
 
 def gru_step(cell: GRUCellParams, x: ad.Tensor, h_prev: ad.Tensor) -> ad.Tensor:
     """One GRU update: z and r gate the candidate state against h_prev."""
-    return ad.gru_cell(x, h_prev, cell.W_z, cell.U_z, cell.W_r, cell.U_r, cell.W_h, cell.U_h)
+    return ad.gru_cell(x, h_prev, *cell.weights)
 
 
 @dataclass
@@ -98,20 +103,16 @@ class QAParams:
 
 def bigru_states(ids: list[int], emb: ad.Tensor, fwd: GRUCellParams,
                  bwd: GRUCellParams):
-    """Hidden states of a forward and a backward GRU pass over the embedded
-    ids, both from zero states, each list in input order: the forward
-    pass ends at ``[-1]``, the backward pass at ``[0]``."""
+    """(T, h) hidden states of a forward and a backward GRU pass over the
+    embedded ids, both from zero states and both in input order: the
+    forward pass ends at row T - 1, the backward pass at row 0.  Each
+    direction is one ``gru_sequence`` over one ``row_lookup`` of the ids."""
     if not ids:
         raise ValueError("bigru_states: empty input")
-    states = []
-    for cell, order in ((fwd, ids), (bwd, ids[::-1])):
-        h = ad.zeros(cell.hidden_dim)
-        hs = []
-        for i in order:
-            h = gru_step(cell, ad.row_lookup(emb, i), h)
-            hs.append(h)
-        states.append(hs)
-    return states[0], states[1][::-1]
+    fwd_states, bwd_states = (
+        ad.gru_sequence(ad.row_lookup(emb, order), ad.zeros(cell.hidden_dim), *cell.weights)
+        for cell, order in ((fwd, ids), (bwd, ids[::-1])))
+    return fwd_states, ad.row_lookup(bwd_states, range(len(ids) - 1, -1, -1))
 
 
 def encode_bigru(ids: list[int] | list[list[int]], side: str, params: QAParams) -> ad.Tensor:
@@ -124,7 +125,7 @@ def encode_bigru(ids: list[int] | list[list[int]], side: str, params: QAParams) 
     and reads a row's final state at its own last token."""
     if not ids or isinstance(ids[0], (int, np.integer)):
         fwd_states, bwd_states = bigru_states(ids, *params._side(side))
-        return ad.concat([fwd_states[-1], bwd_states[0]])
+        return ad.concat([ad.row_lookup(fwd_states, len(ids) - 1), ad.row_lookup(bwd_states, 0)])
     emb, *cells = params._side(side)
     lens = [len(seq) for seq in ids]
     if not min(lens):

@@ -56,15 +56,13 @@ class QGParams:
 
 
 def encode_answer(a_ids: list[int], params: QGParams):
-    """Returns (H, s0): per-position concatenated forward/backward states
-    as rows of H, and the final states of both directions concatenated as
-    the initial decoder state."""
+    """Returns (H, s0): the (T, 2h) forward and backward states of
+    ``bigru_states``, side by side in the rows of H, and the final states
+    of both directions concatenated as the initial decoder state."""
     fwd_states, bwd_states = bigru_states(
         a_ids, params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
-    rows = [ad.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
-    H = ad.concat(rows, axis="rows")
-    s0 = ad.concat([fwd_states[-1], bwd_states[0]])
-    return H, s0
+    s0 = ad.concat([ad.row_lookup(fwd_states, len(a_ids) - 1), ad.row_lookup(bwd_states, 0)])
+    return ad.concat([fwd_states, bwd_states]), s0
 
 
 def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Tensor,
@@ -110,23 +108,24 @@ def decode_step(prev_ids, state: ad.Tensor, H: ad.Tensor, keys: ad.Tensor,
 def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
     """Teacher-forced log P(question | answer), including the EOS step.
 
-    The gold previous token, not a prediction, feeds each step, so the
-    output layer never feeds back into the recurrence: the loop runs the
-    GRU and attention and stacks the [state; context] rows, and one
-    ``target_log_prob`` scores every row against its target at once.
+    The gold previous token, not a prediction, feeds each step, and the
+    attention context never feeds the recurrence: the decoder GRU runs as
+    one ``gru_sequence`` over the embedded ``[SOS] + targets[:-1]`` from
+    s0, the loop runs only attention, and one ``target_log_prob`` scores
+    every [state; context] row against its target at once.
     """
     if not q_ids:
         raise ValueError("sequence_log_prob: empty question")
-    H, state = encode_answer(a_ids, params)
+    H, s0 = encode_answer(a_ids, params)
     keys = ad.matmul(H, params.att_encoder)
-    history = ad.zeros(H.shape[1])
     targets = [int(t) for t in q_ids] + [EOS_ID]
-    rows = []
-    for prev in [SOS_ID] + targets[:-1]:
-        state = gru_step(params.decoder, ad.row_lookup(params.question_embeddings, prev), state)
-        _, history = attention_step(state, H, keys, history, params)
-        rows.append(ad.concat([state, history]))
-    return ad.target_log_prob(ad.concat(rows, axis="rows"), params.output_projection, targets)
+    S = ad.gru_sequence(ad.row_lookup(params.question_embeddings, [SOS_ID] + targets[:-1]),
+                        s0, *params.decoder.weights)
+    contexts = [ad.zeros(H.shape[1])]
+    for t in range(len(targets)):
+        contexts.append(attention_step(ad.row_lookup(S, t), H, keys, contexts[-1], params)[1])
+    rows = ad.concat([S, ad.concat(contexts[1:], axis="rows")])
+    return ad.target_log_prob(rows, params.output_projection, targets)
 
 
 @dataclass

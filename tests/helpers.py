@@ -1,17 +1,20 @@
 """Shared builders for the test suite: tiny model instances and a small
 in-memory corpus, sized so full finite-difference checks stay fast; the
-finite-difference gradient check; and reference decoders that the
-program's decoders are compared with."""
+finite-difference gradient check; and reference encoders and decoders
+that the program's are compared with."""
 
 import numpy as np
 
 from dualqa import autodiff as ad
-from dualqa import bigram, qg, text, toy, trainer
+from dualqa import bigram, qa, qg, text, toy, trainer
 
 TINY_DIMS = trainer.ModelDims(
     embedding_dim=6, qa_hidden=8, qg_hidden=8, attention_dim=5,
     cooc_vocab=10, cooc_dim=4,
 )
+# Acceptance criterion 7's dims, and the benchmark's mid-scale dims.
+TOY_DIMS = trainer.ModelDims(embedding_dim=20, qa_hidden=12, qg_hidden=16, attention_dim=8)
+MID_DIMS = trainer.ModelDims(embedding_dim=100, qa_hidden=50, qg_hidden=64, attention_dim=30)
 
 TINY_VOCAB = 16
 
@@ -90,8 +93,7 @@ def toy_dual_objectives(tmp_path):
     positives = [p for p in pairs if p.label == 1]
     vocab_q = text.build_vocab([p.question_tokens for p in pairs], 200)
     vocab_a = text.build_vocab([p.answer_tokens for p in pairs], 200)
-    dims = trainer.ModelDims(embedding_dim=20, qa_hidden=12, qg_hidden=16, attention_dim=8)
-    qa_params, qg_params = trainer.init_models(vocab_q.size, vocab_a.size, dims, seed=7)
+    qa_params, qg_params = trainer.init_models(vocab_q.size, vocab_a.size, TOY_DIMS, seed=7)
     dual = trainer.DualTrainer(
         qa_params, qg_params,
         bigram.BigramLM.fit([p.question_tokens for p in positives]),
@@ -100,6 +102,44 @@ def toy_dual_objectives(tmp_path):
     batch = next(text.make_batches(pairs, 16, 10, seed=7))
     assert batch.size == 16
     return dual._batch_objectives(batch, use_dual=True)
+
+
+def per_token_bigru_states(ids, emb, fwd, bwd):
+    """The BiGRU as a chain of per-token ``gru_step`` calls, one per id and
+    direction: each direction's states as a list in input order."""
+    states = []
+    for cell, order in ((fwd, ids), (bwd, ids[::-1])):
+        h, hs = ad.zeros(cell.hidden_dim), []
+        for i in order:
+            h = qa.gru_step(cell, ad.row_lookup(emb, i), h)
+            hs.append(h)
+        states.append(hs)
+    return states[0], states[1][::-1]
+
+
+def per_token_encode_answer(a_ids, qg_params):
+    """(H, s0) of ``qg.encode_answer`` from the per-token BiGRU."""
+    fwd, bwd = per_token_bigru_states(a_ids, qg_params.answer_embeddings,
+                                      qg_params.encoder_fwd, qg_params.encoder_bwd)
+    H = ad.concat([ad.concat([f, b]) for f, b in zip(fwd, bwd)], axis="rows")
+    return H, ad.concat([fwd[-1], bwd[0]])
+
+
+def per_token_sequence_log_prob(q_ids, a_ids, qg_params):
+    """Teacher-forced log P(q | a) from per-token encoders and one
+    ``gru_step`` then ``attention_step`` per target, the [state; context]
+    rows scored by one ``target_log_prob``."""
+    H, state = per_token_encode_answer(a_ids, qg_params)
+    k, history = keys(H, qg_params), ad.zeros(H.shape[1])
+    targets = list(q_ids) + [text.EOS_ID]
+    rows = []
+    for prev in [text.SOS_ID] + targets[:-1]:
+        state = qa.gru_step(qg_params.decoder,
+                            ad.row_lookup(qg_params.question_embeddings, prev), state)
+        _, history = qg.attention_step(state, H, k, history, qg_params)
+        rows.append(ad.concat([state, history]))
+    return ad.target_log_prob(ad.concat(rows, axis="rows"), qg_params.output_projection,
+                              targets)
 
 
 def keys(H, qg_params):

@@ -270,6 +270,9 @@ PRIMITIVE_CASES = {
     "gru_cell_rows": (lambda rng: [_rand(rng, (3, 3)), _rand(rng, (3, 4))]
                       + [_rand(rng, (4, n)) for n in (3, 4) * 3],
                       lambda p: ad.gru_cell(*p)),
+    "gru_sequence": (lambda rng: [_rand(rng, (3, 3)), _rand(rng, 4)]
+                     + [_rand(rng, (4, n)) for n in (3, 4) * 3],
+                     lambda p: ad.gru_sequence(*p)),
     "matmul_block_v": (lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, 4)],
                        lambda p: ad.matmul(p[0], p[1])),
     "concat_last_axis": (lambda rng: [_rand(rng, (3, 2)), _rand(rng, (3, 4))],
@@ -461,6 +464,62 @@ class TestGRUCell:
         np.testing.assert_array_equal(ad.backward(loss, [h])[0], [0.5, 0.5])
 
 
+def _gru_chain(X, h0, *weights):
+    """The per-token reference of ``gru_sequence``: one ``gru_cell`` per
+    row of ``X``, the states stacked as rows."""
+    states, h = [], h0
+    for t in range(X.shape[0]):
+        h = ad.gru_cell(ad.row_lookup(X, t), h, *weights)
+        states.append(h)
+    return ad.concat(states, axis="rows")
+
+
+def _probed(op, inputs, probes):
+    """``op``'s output values and the gradients of a loss of one entry per
+    probe, sum(probe * output), from one walk (a scalar loss for one probe)."""
+    with ad.ComputationRecord():
+        out = op(*inputs)
+        losses = [ad.reduce_sum(ad.elementwise_mul(out, ad.Tensor(p))) for p in probes]
+        loss = losses[0] if len(losses) == 1 else ad.concat(losses, axis="rows")
+    return out.values, ad.backward(loss, inputs)
+
+
+class TestGRUSequence:
+    """One node for a whole GRU pass: its rows equal the per-token
+    ``gru_cell`` chain bit for bit, and the gradients of all eight inputs
+    equal the chain's to 1e-12, with one and with two channels."""
+
+    @staticmethod
+    def _check(rng, T, n_in, n_h, channels, scale=0.8):
+        inputs = ([_rand(rng, (T, n_in)), _rand(rng, n_h)]
+                  + [_rand(rng, (n_h, n), scale) for n in (n_in, n_h) * 3])
+        probes = rng.normal(size=(channels, T, n_h))
+        got, got_grads = _probed(ad.gru_sequence, inputs, probes)
+        want, want_grads = _probed(_gru_chain, inputs, probes)
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6), st.integers(1, 6),
+           st.sampled_from([1, 2]))
+    def test_equals_per_token_chain(self, seed, T, n_in, n_h, channels):
+        self._check(np.random.default_rng(seed), T, n_in, n_h, channels)
+
+    @pytest.mark.parametrize("n_h", [50, 128])
+    def test_equals_per_token_chain_at_mid_dims(self, n_h):
+        self._check(np.random.default_rng(n_h), 20, 100, n_h, 2, scale=0.15)
+
+    @pytest.mark.parametrize("shapes", [((0, 3), (4,)), ((3,), (4,)), ((1, 2, 3), (4,)),
+                                        ((2, 3), (1, 4))])
+    def test_empty_or_misranked_inputs_rejected(self, shapes):
+        x_shape, h_shape = shapes
+        weights = [ad.zeros((4, n)) for n in (3, 4) * 3]
+        with pytest.raises(ValueError, match="gru_sequence"):
+            ad.gru_sequence(ad.zeros(x_shape), ad.zeros(h_shape), *weights)
+
+
 SIGMOID_EDGES = [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0]
 
 
@@ -500,6 +559,17 @@ class TestGradCheck:
             for x in tokens:
                 h = gru_step(cell, x, h)
             return ad.reduce_sum(ad.elementwise_mul(h, probe))
+
+        assert grad_check(build, params, epsilon=1e-5) < 1e-4
+
+    def test_gru_sequence_three_tokens(self):
+        rng = np.random.default_rng(4)
+        params = ([_rand(rng, (3, 4)), _rand(rng, 8)]
+                  + [glorot_uniform(rng, shape) for shape in [(8, 4), (8, 8)] * 3])
+        probe = ad.Tensor(rng.normal(size=(3, 8)))
+
+        def build(params):
+            return ad.reduce_sum(ad.elementwise_mul(ad.gru_sequence(*params), probe))
 
         assert grad_check(build, params, epsilon=1e-5) < 1e-4
 

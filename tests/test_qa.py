@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from dualqa import autodiff as ad
 from dualqa import qa, text, trainer
 
-from helpers import (TINY_DIMS, TINY_VOCAB, grad_check, make_tiny_models, model_tensors,
-                     zero_all)
+from helpers import (MID_DIMS, TINY_DIMS, TINY_VOCAB, TOY_DIMS, grad_check, make_tiny_models,
+                     model_tensors, per_token_bigru_states, zero_all)
 
 Q_IDS = [4, 7, 9]
 A_IDS = [5, 8, 10, 6]
@@ -245,12 +245,30 @@ class TestRankCandidates:
         monkeypatch.setattr(ad, "gru_cell", lambda *args: calls.append(1) or cell(*args))
         candidates = [[5, 6, 7], [8], [9, 10], [5, 6, 7], [11, 12, 13, 14]]
         qa.candidate_scores(Q_IDS, candidates, models[0], [0] * len(candidates))
-        assert 0 < len(calls) <= 2 * (len(Q_IDS) + max(map(len, candidates)))
+        # The question's two directions are one gru_sequence each.
+        assert len(calls) == 2 * max(map(len, candidates))
 
     def test_empty_candidates_rejected(self, models):
         for candidates in ([], [[5], [], [6, 7]]):
             with pytest.raises(ValueError, match="empty"):
                 qa.rank_candidates(Q_IDS, candidates, models[0], [0] * len(candidates))
+
+
+class TestEncoderEqualsPerTokenChain:
+    """Each direction of the encoder is one ``gru_sequence``; its encodings
+    equal the per-token ``gru_step`` chain's bit for bit."""
+
+    @pytest.mark.parametrize("dims", [TOY_DIMS, MID_DIMS], ids=["toy", "mid"])
+    def test_encode_bigru(self, dims):
+        qa_params, _ = trainer.init_models(40, 40, dims, seed=5)
+        rng = np.random.default_rng(5)
+        with ad.no_recording():
+            for n in (1, 2, 9, 25):
+                ids = rng.integers(0, 40, n).tolist()
+                for side in ("question", "answer"):
+                    fwd, bwd = per_token_bigru_states(ids, *qa_params._side(side))
+                    want = np.concatenate([fwd[-1].values, bwd[0].values])
+                    assert np.array_equal(qa.encode_bigru(ids, side, qa_params).values, want)
 
 
 class TestFeatureDimensions:

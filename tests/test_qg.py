@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
-from dualqa import qa, qg, text
+from dualqa import qa, qg, text, trainer
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import (TINY_VOCAB, argmax_decode, grad_check, keys, make_small_trainer,
-                     make_tiny_models, model_tensors, per_beam_search, small_corpus,
+from helpers import (MID_DIMS, TINY_VOCAB, TOY_DIMS, argmax_decode, grad_check, keys,
+                     make_small_trainer, make_tiny_models, model_tensors, per_beam_search,
+                     per_token_encode_answer, per_token_sequence_log_prob, small_corpus,
                      toy_dual_objectives, zero_all)
 
 Q_IDS = [4, 7]
@@ -274,6 +275,49 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         # Only the QA side's log-softmaxes remain: two pair losses and one
         # duality conditional per positive.
         assert kinds["log_softmax"] <= 3 * 16
+
+
+class TestSequenceGRUEqualsPerTokenChain:
+    """The encoder directions and the teacher-forced decoder are one
+    ``gru_sequence`` each; the forward equals the per-token ``gru_step``
+    chain's bit for bit."""
+
+    DRAWS = [(1, 1), (7, 4), (25, 14)]  # (answer length, question length)
+
+    def _draws(self, dims):
+        _, qg_params = trainer.init_models(40, 40, dims, seed=5)
+        rng = np.random.default_rng(5)
+        for n_a, n_q in self.DRAWS:
+            yield qg_params, rng.integers(0, 40, n_q).tolist(), rng.integers(0, 40, n_a).tolist()
+
+    @pytest.mark.parametrize("dims", [TOY_DIMS, MID_DIMS], ids=["toy", "mid"])
+    def test_encode_answer(self, dims):
+        with ad.no_recording():
+            for qg_params, _, a_ids in self._draws(dims):
+                (H, s0), (want_H, want_s0) = (encode(a_ids, qg_params) for encode in
+                                              (qg.encode_answer, per_token_encode_answer))
+                assert np.array_equal(H.values, want_H.values)
+                assert np.array_equal(s0.values, want_s0.values)
+
+    @pytest.mark.parametrize("dims", [TOY_DIMS, MID_DIMS], ids=["toy", "mid"])
+    def test_sequence_log_prob(self, dims, monkeypatch):
+        scored = []
+        fused = ad.target_log_prob
+        monkeypatch.setattr(ad, "target_log_prob",
+                            lambda X, W, targets: scored.append(X.values) or fused(X, W, targets))
+        with ad.no_recording():
+            for qg_params, q_ids, a_ids in self._draws(dims):
+                got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
+                assert got == per_token_sequence_log_prob(q_ids, a_ids, qg_params).item()
+                # The [state; context] rows scored, too: a one-ulp change in
+                # a state often rounds away in the summed log-probability.
+                assert np.array_equal(*scored[-2:])
+
+    def test_records_three_gru_sequence_nodes(self, models):
+        with ad.ComputationRecord() as rec:
+            qg.sequence_log_prob(Q_IDS, A_IDS, models[1])
+        kinds = collections.Counter(node.kind for node in rec.nodes)
+        assert kinds["gru_sequence"] == 3 and not kinds["gru_cell"]
 
 
 class TestBeamSearch:

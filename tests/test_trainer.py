@@ -401,8 +401,9 @@ class TestTrainStep:
 
 
 class TestTapeSize:
-    """Deterministic node counts: the GRU update and each log-softmax are
-    one tape node, which keeps a toy dual step's record small."""
+    """Deterministic node counts: a GRU update, a whole GRU pass and each
+    log-softmax are one tape node, which keeps a toy dual step's record
+    small."""
 
     def test_gru_step_records_one_node(self):
         qa_params, _ = make_tiny_models()
@@ -412,19 +413,19 @@ class TestTapeSize:
                         ad.zeros(cell.hidden_dim))
         assert [node.kind for node in rec.nodes] == ["gru_cell"]
 
-    def test_toy_dual_step_records_at_most_7300_nodes(self, tmp_path):
+    def test_toy_dual_step_records_at_most_5000_nodes(self, tmp_path):
         record, objectives, *_ = toy_dual_objectives(tmp_path)
         # The record train_step's backward walk sees: one row per objective.
         assert objectives._record is record and objectives.shape == (2,)
-        assert len(record.nodes) <= 7300
+        assert len(record.nodes) <= 5000
 
     def test_toy_dual_step_tape_holds_no_decode_only_node(self, tmp_path):
-        # Row forms serve decoding; training records the vector forms alone,
-        # node for node as before they existed.
+        # Row forms and the per-token cell serve decoding and ranking; each
+        # GRU pass that training records is one gru_sequence node.
         record, *_ = toy_dual_objectives(tmp_path)
         kinds = {node.kind for node in record.nodes}
-        assert not kinds & {"reshape", "linear_log_softmax"}
-        assert len(record.nodes) == 6334
+        assert not kinds & {"reshape", "linear_log_softmax", "gru_cell"}
+        assert len(record.nodes) == 4696
 
 
 class TestNamedParameters:
