@@ -12,13 +12,14 @@ entries is differentiated in the same single walk (vector reverse mode,
 Griewank & Walther 2008, ch. 3): every gradient carries a leading axis of
 k channels, one per entry, so each rule below maps a (k, *output)
 gradient to (k, *input) contributions.
-The GRU cell, attention and the output layer also take B rows in place
-of one vector, which decoding and ranking use; training records the
-vector forms, and every GRU pass it records is one ``gru_sequence``.
+``gru_sequence`` runs B sequences at once over time-major rows, and
+every GRU pass of training and ranking is one of its blocks; the GRU
+cell, attention and the output layer also take B rows in place of one
+vector, which decoding uses.
 ``reduce_sum`` is test support: no code here calls it, and the tests
 build scalar losses with it.
 Desk-scale on purpose: float64 everywhere, five fused primitives (the
-GRU update ``gru_cell``, a whole GRU pass ``gru_sequence``, the
+GRU update ``gru_cell``, B whole GRU passes ``gru_sequence``, the
 max-shifted ``log_softmax``, the decoder's output layer
 ``linear_log_softmax``, and ``target_log_prob``, a whole sequence's
 output layer and target log-probabilities in one node), no sparse
@@ -328,35 +329,52 @@ def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
 
 def gru_sequence(X: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
                  U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
-    """The (T, hidden) states of T ``gru_cell`` updates over the rows of
-    ``X`` (T, in), starting from the state ``h0``, as one node.  Each input
-    projection is one stacked product over all T rows (Appleyard et al.
-    2016) and row t equals the per-token ``gru_cell`` chain bit for bit.
-    The gradient rule runs backpropagation through time (Werbos 1990) and
-    forms each weight's gradient as one product over the T steps."""
+    """The states of T ``gru_cell`` updates of B sequences at once, as one
+    node.  ``h0`` is one (hidden,) state (B = 1) or a (B, hidden) block;
+    ``X`` holds T * B input rows in time-major order, row t * B + b token t
+    of sequence b, and so does the (T * B, hidden) result.  Each input
+    projection is one stacked product over all rows (Appleyard et al.
+    2016), each step advances every sequence with one stacked product per
+    weight, and each row equals its sequence's per-token ``gru_cell`` chain
+    bit for bit.  A sequence shorter than T is left-aligned and padded: its
+    states past its end are computed, and where no caller reads them their
+    gradient, and that of their input rows, is exactly zero.  The rule
+    runs backpropagation through time (Werbos 1990) over (channels, B,
+    hidden) blocks and forms each weight's gradient as one product over
+    all T * B rows."""
     inputs = (X, h0, W_z, U_z, W_r, U_r, W_h, U_h)
     X, h0, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
-    if X.ndim != 2 or h0.ndim != 1 or not X.shape[0]:
-        raise ValueError(f"gru_sequence: needs (T >= 1, in) and (h,), got {X.shape}, {h0.shape}")
-    px = [_rows_mv(W, X) for W in (W_z, W_r, W_h)]
-    T = X.shape[0]
-    H = np.empty((T + 1, h0.size))  # row 0 is h0, row t + 1 the state after token t
-    Z, R, RH, C = (np.empty((T, h0.size)) for _ in range(4))
-    H[0] = h0
+    B = h0.shape[0] if h0.ndim == 2 else 1
+    if X.ndim != 2 or h0.ndim not in (1, 2) or not X.shape[0] or X.shape[0] % B:
+        raise ValueError("gru_sequence: needs (T * B >= 1, in) and (h,) or (B, h), "
+                         f"got {X.shape}, {h0.shape}")
+    T, n_h = X.shape[0] // B, h0.shape[-1]
+    # One sequence steps by matrix-vector products, as a ``gru_cell`` chain
+    # does, and B sequences by stacked ones, which round the same per row.
+    state, mv = ((B, n_h), _rows_mv) if B > 1 else ((n_h,), np.matmul)
+    px = [_rows_mv(W, X).reshape((T,) + state) for W in (W_z, W_r, W_h)]
+    H = np.empty((T + 1,) + state)  # H[0] is h0, H[t + 1] the states after token t
+    Z, R, RH, C = (np.empty((T,) + state) for _ in range(4))
+    H[0] = h0.reshape(state)
     for t, px_t in enumerate(zip(*px)):
-        z, r, rh, c = Z[t], R[t], RH[t], C[t] = _gru_gates(np.matmul, *px_t, H[t], U_z, U_r, U_h)
+        z, r, rh, c = Z[t], R[t], RH[t], C[t] = _gru_gates(mv, *px_t, H[t], U_z, U_r, U_h)
         H[t + 1] = z * c + (1.0 - z) * H[t]
 
     def vjp(g):
-        A = np.empty((3,) + g.shape)  # pre-activation gradients of z, r and c
-        d_h = np.zeros(g.shape[:1] + h0.shape)
+        k = g.shape[0]
+        g = g.reshape((k, T) + state)
+        A = np.empty((3, k, T) + state)  # pre-activation gradients of z, r and c
+        d_h = np.zeros((k,) + state)
         for t in range(T - 1, -1, -1):
             A[0, :, t], A[1, :, t], A[2, :, t], d_h = _gru_pre_grads(
                 g[:, t] + d_h, Z[t], R[t], C[t], H[t], U_z, U_r, U_h)
-        a_z, a_r, a_h = A.swapaxes(2, 3)  # each (channels, hidden, T)
-        return (A[0] @ W_z + A[1] @ W_r + A[2] @ W_h, d_h,
-                a_z @ X, a_z @ H[:-1], a_r @ X, a_r @ H[:-1], a_h @ X, a_h @ RH)
-    return _emit("gru_sequence", inputs, H[1:], vjp)
+        A = A.reshape(3, k, T * B, n_h)
+        a_z, a_r, a_h = A.swapaxes(2, 3)  # each (channels, hidden, T * B)
+        H_prev = H[:-1].reshape(T * B, n_h)
+        return (A[0] @ W_z + A[1] @ W_r + A[2] @ W_h, d_h.reshape((k,) + h0.shape),
+                a_z @ X, a_z @ H_prev, a_r @ X, a_r @ H_prev, a_h @ X,
+                a_h @ RH.reshape(T * B, n_h))
+    return _emit("gru_sequence", inputs, H[1:].reshape(T * B, n_h), vjp)
 
 
 def tanh(x: Tensor) -> Tensor:

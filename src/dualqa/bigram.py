@@ -37,17 +37,19 @@ class BigramLM:
     def fit(cls, corpus: list[list[str]], alpha: float = 1.0) -> "BigramLM":
         if not corpus:
             raise ValueError("empty corpus")
-        context_counts: Counter = Counter()
-        bigram_counts: dict[str, Counter] = {}
+        pairs: Counter = Counter()
         vocab = {END}
         for sentence in corpus:
             if not sentence:
                 raise ValueError("empty sentence in corpus")
-            wrapped = [START] + list(sentence) + [END]
+            wrapped = [START, *sentence, END]
             vocab.update(sentence)
-            for h, w in zip(wrapped, wrapped[1:]):
-                context_counts[h] += 1
-                bigram_counts.setdefault(h, Counter())[w] += 1
+            pairs.update(zip(wrapped, wrapped[1:]))
+        context_counts: Counter = Counter()
+        bigram_counts: dict[str, dict[str, int]] = {}
+        for (h, w), n in pairs.items():
+            context_counts[h] += n
+            bigram_counts.setdefault(h, {})[w] = n
         return cls(context_counts, bigram_counts, vocab, alpha)
 
     def prob(self, word: str, context: str) -> float:

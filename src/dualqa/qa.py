@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .metrics import ranked_order
+from .text import time_major
 
 __all__ = [
     "glorot_uniform",
@@ -101,18 +102,24 @@ class QAParams:
         raise ValueError(f"side must be 'question' or 'answer', got {side!r}")
 
 
-def bigru_states(ids: list[int], emb: ad.Tensor, fwd: GRUCellParams,
+def bigru_states(seqs: list[list[int]], emb: ad.Tensor, fwd: GRUCellParams,
                  bwd: GRUCellParams):
-    """(T, h) hidden states of a forward and a backward GRU pass over the
-    embedded ids, both from zero states and both in input order: the
-    forward pass ends at row T - 1, the backward pass at row 0.  Each
-    direction is one ``gru_sequence`` over one ``row_lookup`` of the ids."""
-    if not ids:
+    """A forward and a backward GRU pass over each of B id lists, both from
+    zero states, as one ``gru_sequence`` per direction over a time-major
+    grid of embedded ids: the forward grid holds each list left-aligned, the
+    backward grid each list reversed and left-aligned, both padded with
+    ``PAD_ID``.  Returns the two (T * B, h) state tables, row t * B + b the
+    state after token t of list b (of its reversal, backward), and each
+    list's last row, (n_b - 1) * B + b, where both of its directions end."""
+    lens = [len(seq) for seq in seqs]
+    if not seqs or not min(lens):
         raise ValueError("bigru_states: empty input")
+    B = len(seqs)
     fwd_states, bwd_states = (
-        ad.gru_sequence(ad.row_lookup(emb, order), ad.zeros(cell.hidden_dim), *cell.weights)
-        for cell, order in ((fwd, ids), (bwd, ids[::-1])))
-    return fwd_states, ad.row_lookup(bwd_states, range(len(ids) - 1, -1, -1))
+        ad.gru_sequence(ad.row_lookup(emb, time_major(order)), ad.zeros((B, cell.hidden_dim)),
+                        *cell.weights)
+        for cell, order in ((fwd, seqs), (bwd, [seq[::-1] for seq in seqs])))
+    return fwd_states, bwd_states, [(n - 1) * B + b for b, n in enumerate(lens)]
 
 
 def encode_bigru(ids: list[int] | list[list[int]], side: str, params: QAParams) -> ad.Tensor:
@@ -120,27 +127,12 @@ def encode_bigru(ids: list[int] | list[list[int]], side: str, params: QAParams) 
     backward GRU pass, both starting from zero states.
 
     ``ids`` may also be a list of B id lists: the result is then a (B, 2h)
-    block whose row b equals ``encode_bigru(ids[b])`` bit for bit.  Each
-    direction steps all lists at once, left-aligned and padded with id 0,
-    and reads a row's final state at its own last token."""
-    if not ids or isinstance(ids[0], (int, np.integer)):
-        fwd_states, bwd_states = bigru_states(ids, *params._side(side))
-        return ad.concat([ad.row_lookup(fwd_states, len(ids) - 1), ad.row_lookup(bwd_states, 0)])
-    emb, *cells = params._side(side)
-    lens = [len(seq) for seq in ids]
-    if not min(lens):
-        raise ValueError("encode_bigru: empty input")
-    finals = []
-    for cell, seqs in zip(cells, (ids, [seq[::-1] for seq in ids])):
-        grid = np.zeros((len(ids), max(lens)), dtype=np.intp)
-        for b, seq in enumerate(seqs):
-            grid[b, :lens[b]] = seq
-        hs = [ad.zeros((len(ids), cell.hidden_dim))]
-        for column in grid.T:
-            hs.append(gru_step(cell, ad.row_lookup(emb, column), hs[-1]))
-        finals.append(ad.concat([ad.row_lookup(hs[n], b) for b, n in enumerate(lens)],
-                                axis="rows"))
-    return ad.concat(finals)
+    block whose row b equals ``encode_bigru(ids[b])`` bit for bit, all B
+    lists encoded by one ``bigru_states``."""
+    single = not ids or isinstance(ids[0], (int, np.integer))
+    fwd_states, bwd_states, last = bigru_states([ids] if single else ids, *params._side(side))
+    rows = last[0] if single else last
+    return ad.concat([ad.row_lookup(fwd_states, rows), ad.row_lookup(bwd_states, rows)])
 
 
 def qa_logits_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, cooc_count: int,

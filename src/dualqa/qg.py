@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .qa import GRUCellParams, bigru_states, gru_step
-from .text import EOS_ID, SOS_ID, UNK_ID, Vocabulary
+from .text import EOS_ID, SOS_ID, UNK_ID, Vocabulary, time_major
 
 __all__ = [
     "QGParams",
@@ -55,14 +55,24 @@ class QGParams:
     output_projection: ad.Tensor
 
 
-def encode_answer(a_ids: list[int], params: QGParams):
-    """Returns (H, s0): the (T, 2h) forward and backward states of
-    ``bigru_states``, side by side in the rows of H, and the final states
-    of both directions concatenated as the initial decoder state."""
-    fwd_states, bwd_states = bigru_states(
-        a_ids, params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
-    s0 = ad.concat([ad.row_lookup(fwd_states, len(a_ids) - 1), ad.row_lookup(bwd_states, 0)])
-    return ad.concat([fwd_states, bwd_states]), s0
+def encode_answer(a_ids: list[int] | list[list[int]], params: QGParams):
+    """Returns (H, s0): the (T, 2h) forward and backward states of a BiGRU
+    pass over the answer, side by side in input order in the rows of H, and
+    the final states of both directions concatenated as the initial decoder
+    state.  ``a_ids`` may also be a list of B id lists, encoded by one
+    ``bigru_states``: H is then a list of B such tensors and s0 a (B, 2h)
+    block, each equal to the single answer's bit for bit."""
+    single = not a_ids or isinstance(a_ids[0], (int, np.integer))
+    seqs = [a_ids] if single else a_ids
+    fwd_states, bwd_states, last = bigru_states(
+        seqs, params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
+    B = len(seqs)
+    H = [ad.concat([ad.row_lookup(fwd_states, range(b, n * B, B)),
+                    ad.row_lookup(bwd_states, range((n - 1) * B + b, -1, -B))])
+         for b, n in enumerate(map(len, seqs))]
+    rows = last[0] if single else last
+    s0 = ad.concat([ad.row_lookup(fwd_states, rows), ad.row_lookup(bwd_states, rows)])
+    return (H[0] if single else H), s0
 
 
 def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Tensor,
@@ -105,7 +115,8 @@ def decode_step(prev_ids, state: ad.Tensor, H: ad.Tensor, keys: ad.Tensor,
     return log_probs, s_t, alpha, context
 
 
-def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> ad.Tensor:
+def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | list[list[int]],
+                      params: QGParams):
     """Teacher-forced log P(question | answer), including the EOS step.
 
     The gold previous token, not a prediction, feeds each step, and the
@@ -113,19 +124,36 @@ def sequence_log_prob(q_ids: list[int], a_ids: list[int], params: QGParams) -> a
     one ``gru_sequence`` over the embedded ``[SOS] + targets[:-1]`` from
     s0, the loop runs only attention, and one ``target_log_prob`` scores
     every [state; context] row against its target at once.
+
+    ``q_ids`` and ``a_ids`` may also be lists of B id lists, B pairs: the
+    result is then the list of their B log-probabilities, each equal to the
+    single pair's bit for bit.  The distinct answers are encoded as one
+    block, and the decoder GRU runs over every question as one block from
+    the rows of the s0 block.
     """
-    if not q_ids:
+    single = not q_ids or isinstance(q_ids[0], (int, np.integer))
+    questions, answers = ([q_ids], [a_ids]) if single else (q_ids, a_ids)
+    if not all(questions):
         raise ValueError("sequence_log_prob: empty question")
-    H, s0 = encode_answer(a_ids, params)
-    keys = ad.matmul(H, params.att_encoder)
-    targets = [int(t) for t in q_ids] + [EOS_ID]
-    S = ad.gru_sequence(ad.row_lookup(params.question_embeddings, [SOS_ID] + targets[:-1]),
-                        s0, *params.decoder.weights)
-    contexts = [ad.zeros(H.shape[1])]
-    for t in range(len(targets)):
-        contexts.append(attention_step(ad.row_lookup(S, t), H, keys, contexts[-1], params)[1])
-    rows = ad.concat([S, ad.concat(contexts[1:], axis="rows")])
-    return ad.target_log_prob(rows, params.output_projection, targets)
+    distinct: dict[tuple, int] = {}
+    index = [distinct.setdefault(tuple(a), len(distinct)) for a in answers]
+    Hs, s0 = encode_answer(list(distinct), params)
+    targets = [[int(t) for t in q] + [EOS_ID] for q in questions]
+    B = len(targets)
+    S = ad.gru_sequence(
+        ad.row_lookup(params.question_embeddings, time_major([[SOS_ID] + t[:-1] for t in targets])),
+        ad.row_lookup(s0, index), *params.decoder.weights)
+    log_probs = []
+    for b, (tokens, H) in enumerate(zip(targets, (Hs[i] for i in index))):
+        states = ad.row_lookup(S, range(b, len(tokens) * B, B))
+        keys = ad.matmul(H, params.att_encoder)
+        contexts = [ad.zeros(H.shape[1])]
+        for t in range(len(tokens)):
+            contexts.append(attention_step(ad.row_lookup(states, t), H, keys, contexts[-1],
+                                           params)[1])
+        rows = ad.concat([states, ad.concat(contexts[1:], axis="rows")])
+        log_probs.append(ad.target_log_prob(rows, params.output_projection, tokens))
+    return log_probs[0] if single else log_probs
 
 
 @dataclass

@@ -272,9 +272,9 @@ class DualTrainer:
         self.global_step = 0
 
     def _encode(self, pair: QAPair):
-        q_ids = self.vocab_q.encode(pair.question_tokens)
-        a_ids = self.vocab_a.encode(pair.answer_tokens)
-        return q_ids, a_ids
+        """The pair's question and answer ids, as tuples that key their rows."""
+        return (tuple(self.vocab_q.encode(pair.question_tokens)),
+                tuple(self.vocab_a.encode(pair.answer_tokens)))
 
     def _check_finite(self, **losses):
         for key, value in losses.items():
@@ -294,50 +294,51 @@ class DualTrainer:
         or, without the duality term, the one row [1/m, 1/m] over the first
         two and a constant zero ``dual_sum``.
 
-        Question/answer encodings are memoized by id sequence so the
-        negatives' answers are encoded once and reused by every
-        conditional in the batch; gradient accumulation through the
-        shared nodes is what makes that sound.
+        The batch's distinct question and answer id lists are encoded as
+        one block per side, and each sequence's vector is a row of its
+        block, so every conditional in the batch reuses the negatives'
+        encodings; gradient accumulation through the shared rows is what
+        makes that sound.  The generator scores every positive in one
+        ``sequence_log_prob`` call.
         """
         record = ad.ComputationRecord()
         dual_lambda_active = use_dual and (self.config.lambda_a > 0 or self.config.lambda_q > 0)
         phase = "selection loss"
         try:
             with record:
-                cache: dict[tuple, ad.Tensor] = {}
-
-                def enc(ids, side):
-                    key = (side, tuple(ids))
-                    if key not in cache:
-                        cache[key] = qa_mod.encode_bigru(ids, side, self.qa_params)
-                    return cache[key]
-
                 encoded = []
                 for pos, neg in zip(batch.positives, batch.negatives):
                     qp_ids, ap_ids = self._encode(pos)
                     qn_ids, an_ids = self._encode(neg)
                     encoded.append((pos, neg, qp_ids, ap_ids, qn_ids, an_ids))
+
+                def rows(side, seqs):  # each distinct id tuple's row of one block
+                    distinct = list(dict.fromkeys(seqs))
+                    block = qa_mod.encode_bigru(distinct, side, self.qa_params)
+                    return {ids: ad.row_lookup(block, i) for i, ids in enumerate(distinct)}
+
                 # Every positive's contrast set comes from the batch's negative answers.
-                contrast_ids = [an_ids for *_, an_ids in encoded]
+                _, _, qp, ap, qn, contrast_ids = zip(*encoded)
+                v_q, v_a = rows("question", qp + qn), rows("answer", ap + contrast_ids)
+                phase = "generation loss"
+                seq_lps = qg_mod.sequence_log_prob(qp, ap, self.qg_params)
 
                 qa_sum = None
                 qg_sum = None
                 dual_sum = None
-                for pos, neg, qp_ids, ap_ids, qn_ids, an_ids in encoded:
+                for (pos, neg, qp_ids, ap_ids, qn_ids, an_ids), seq_lp in zip(encoded, seq_lps):
                     cooc_pos = cooccurrence_count(pos.question_tokens, pos.answer_tokens)
                     cooc_neg = cooccurrence_count(neg.question_tokens, neg.answer_tokens)
                     phase = "selection loss"
-                    v_q_pos = enc(qp_ids, "question")
-                    v_a_pos = enc(ap_ids, "answer")
+                    v_q_pos, v_a_pos = v_q[qp_ids], v_a[ap_ids]
                     qa_sum = _accumulate(qa_sum, ad.add(
                         qa_mod.qa_nll_loss_from_vectors(
                             v_q_pos, v_a_pos, 1, cooc_pos, self.qa_params),
                         qa_mod.qa_nll_loss_from_vectors(
-                            enc(qn_ids, "question"), enc(an_ids, "answer"), 0, cooc_neg,
+                            v_q[qn_ids], v_a[an_ids], 0, cooc_neg,
                             self.qa_params),
                     ))
                     phase = "generation loss"
-                    seq_lp = qg_mod.sequence_log_prob(qp_ids, ap_ids, self.qg_params)
                     qg_sum = _accumulate(qg_sum, ad.scalar_scale(seq_lp, -1.0))
                     if dual_lambda_active:
                         phase = "duality term"
@@ -345,7 +346,7 @@ class DualTrainer:
                             v_q_pos, v_a_pos, cooc_pos, self.qa_params)]
                         for j in contrast_indices(ap_ids, contrast_ids):
                             scores.append(qa_mod.qa_score_from_vectors(
-                                v_q_pos, enc(contrast_ids[j], "answer"),
+                                v_q_pos, v_a[contrast_ids[j]],
                                 cooccurrence_count(pos.question_tokens,
                                                    batch.negatives[j].answer_tokens),
                                 self.qa_params,

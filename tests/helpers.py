@@ -3,6 +3,8 @@ in-memory corpus, sized so full finite-difference checks stay fast; the
 finite-difference gradient check; and reference encoders and decoders
 that the program's are compared with."""
 
+from collections import Counter
+
 import numpy as np
 
 from dualqa import autodiff as ad
@@ -83,10 +85,9 @@ def make_small_trainer(pairs, lambda_q=0.1, lambda_a=0.1, seed=11, dims=TINY_DIM
     return trainer.DualTrainer(qa_params, qg_params, lm_q, lm_a, vocab_q, vocab_a, config)
 
 
-def toy_dual_objectives(tmp_path):
-    """``_batch_objectives`` of one toy dual step, ``(record, objectives,
-    qa_sum, qg_sum, dual_sum)``: acceptance criterion 7's corpus, dims,
-    batch size and seed, lambda 0.1."""
+def toy_dual_trainer(tmp_path):
+    """``(trainer, batch)`` of one toy dual step: acceptance criterion 7's
+    corpus, dims, batch size and seed, lambda 0.1."""
     train_rows, _ = toy.generate_corpus()
     toy.write_tsv(train_rows, tmp_path / "train.tsv")
     pairs = text.load_tsv(tmp_path / "train.tsv")
@@ -101,6 +102,13 @@ def toy_dual_objectives(tmp_path):
         vocab_q, vocab_a, trainer.TrainerConfig(lambda_q=0.1, lambda_a=0.1))
     batch = next(text.make_batches(pairs, 16, 10, seed=7))
     assert batch.size == 16
+    return dual, batch
+
+
+def toy_dual_objectives(tmp_path):
+    """``_batch_objectives`` of one toy dual step, ``(record, objectives,
+    qa_sum, qg_sum, dual_sum)``."""
+    dual, batch = toy_dual_trainer(tmp_path)
     return dual._batch_objectives(batch, use_dual=True)
 
 
@@ -194,6 +202,19 @@ def per_beam_search(a_ids, beam_size, max_len, qg_params):
         finished += live
         finished.sort(key=lambda b: -b[1])
     return [(tokens, log_prob, rows) for tokens, log_prob, rows, *_ in finished[:beam_size]]
+
+
+def per_token_bigram_fit(corpus, alpha=1.0):
+    """``BigramLM.fit`` with one count update per token: the reference its
+    pair counting must equal."""
+    context_counts, bigram_counts, vocab = Counter(), {}, {bigram.END}
+    for sentence in corpus:
+        wrapped = [bigram.START] + list(sentence) + [bigram.END]
+        vocab.update(sentence)
+        for h, w in zip(wrapped, wrapped[1:]):
+            context_counts[h] += 1
+            bigram_counts.setdefault(h, Counter())[w] += 1
+    return bigram.BigramLM(context_counts, bigram_counts, vocab, alpha)
 
 
 def masked_sigmoid(x):

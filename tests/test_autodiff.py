@@ -273,6 +273,9 @@ PRIMITIVE_CASES = {
     "gru_sequence": (lambda rng: [_rand(rng, (3, 3)), _rand(rng, 4)]
                      + [_rand(rng, (4, n)) for n in (3, 4) * 3],
                      lambda p: ad.gru_sequence(*p)),
+    "gru_sequence_block": (lambda rng: [_rand(rng, (6, 3)), _rand(rng, (2, 4))]
+                           + [_rand(rng, (4, n)) for n in (3, 4) * 3],
+                           lambda p: ad.gru_sequence(*p)),
     "matmul_block_v": (lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, 4)],
                        lambda p: ad.matmul(p[0], p[1])),
     "concat_last_axis": (lambda rng: [_rand(rng, (3, 2)), _rand(rng, (3, 4))],
@@ -511,13 +514,73 @@ class TestGRUSequence:
     def test_equals_per_token_chain_at_mid_dims(self, n_h):
         self._check(np.random.default_rng(n_h), 20, 100, n_h, 2, scale=0.15)
 
+    # The last case is 3 rows for a block of 2 sequences.
     @pytest.mark.parametrize("shapes", [((0, 3), (4,)), ((3,), (4,)), ((1, 2, 3), (4,)),
-                                        ((2, 3), (1, 4))])
+                                        ((3, 3), (2, 4))])
     def test_empty_or_misranked_inputs_rejected(self, shapes):
         x_shape, h_shape = shapes
         weights = [ad.zeros((4, n)) for n in (3, 4) * 3]
         with pytest.raises(ValueError, match="gru_sequence"):
             ad.gru_sequence(ad.zeros(x_shape), ad.zeros(h_shape), *weights)
+
+
+def _block_check(rng, lens, n_in, n_h, channels, copies=(), scale=0.8):
+    """B sequences of the given lengths (sequence b a verbatim copy of
+    sequence a for each (b, a) in ``copies``) as one time-major block with
+    random padding rows, against one B = 1 call per sequence: rows equal
+    bit for bit; the gradients of every input, with probes that read no
+    padded state, equal the per-sequence ones (weights summed) to 1e-12;
+    the padded input rows get exactly zero."""
+    lens = list(lens)
+    seqs = [[_rand(rng, (n, n_in)), _rand(rng, n_h)] for n in lens]
+    for b, a in copies:
+        seqs[b], lens[b] = seqs[a], lens[a]
+    weights = [_rand(rng, (n_h, n), scale) for n in (n_in, n_h) * 3]
+    B, T = len(lens), max(lens)
+    X = rng.normal(size=(T, B, n_in))
+    probes = np.zeros((channels, T, B, n_h))
+
+    def channel_grads(inputs, probe):  # gradients with their channel axis, one per probe
+        out, grads = _probed(ad.gru_sequence, inputs, probe)
+        return out, [g.reshape((channels,) + t.shape) for g, t in zip(grads, inputs)]
+
+    per_sequence = []
+    for b, ((X_b, h0_b), n) in enumerate(zip(seqs, lens)):
+        X[:n, b] = X_b.values
+        probes[:, :n, b] = rng.normal(size=(channels, n, n_h))
+        per_sequence.append(channel_grads([X_b, h0_b] + weights, probes[:, :n, b]))
+    h0 = ad.Tensor(np.stack([h0_b.values for _, h0_b in seqs]))
+    got, (d_X, d_h0, *d_weights) = channel_grads(
+        [ad.Tensor(X.reshape(T * B, n_in)), h0] + weights, probes.reshape(channels, T * B, n_h))
+    got, d_X = got.reshape(T, B, n_h), d_X.reshape(channels, T, B, n_in)
+    want_weights = [0.0] * 6
+    for b, (n, (want, (want_X, want_h0, *want_w))) in enumerate(zip(lens, per_sequence)):
+        np.testing.assert_array_equal(got[:n, b], want)
+        np.testing.assert_allclose(d_X[:, :n, b], want_X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(d_h0[:, b], want_h0, rtol=1e-12, atol=1e-12)
+        assert np.all(d_X[:, n:, b] == 0.0)
+        want_weights = [acc + w for acc, w in zip(want_weights, want_w)]
+    for g, w in zip(d_weights, want_weights):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+class TestGRUSequenceBlock:
+    """B ragged sequences as one ``gru_sequence`` block equal B separate
+    passes: see ``_block_check``."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 2]), st.data())
+    def test_equals_per_sequence_calls(self, seed, lens, n_in, n_h, channels, data):
+        copies = [(b, data.draw(st.integers(0, b - 1))) for b in range(1, len(lens))
+                  if data.draw(st.booleans())]
+        _block_check(np.random.default_rng(seed), lens, n_in, n_h, channels, copies)
+
+    @pytest.mark.parametrize("n_h", [50, 128])
+    def test_equals_per_sequence_calls_at_mid_dims(self, n_h):
+        rng = np.random.default_rng(n_h)
+        lens = rng.integers(4, 16, size=16)
+        _block_check(rng, lens, 100, n_h, 2, copies=[(15, 0), (9, 3)], scale=0.15)
 
 
 SIGMOID_EDGES = [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0]

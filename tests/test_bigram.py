@@ -1,12 +1,15 @@
 """Bigram language model tests against hand-counted oracles."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualqa.bigram import END, BigramLM
+from dualqa.bigram import END, START, BigramLM
+
+from helpers import per_token_bigram_fit
 
 CORPUS = [["a", "b"], ["a", "b"]]
 
@@ -34,6 +37,17 @@ class TestFit:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             BigramLM.fit([])
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", START, END]),
+                             min_size=1, max_size=9), min_size=1, max_size=8),
+           st.sampled_from([0.5, 1.0]))
+    def test_counts_equal_the_per_token_loop(self, corpus, alpha):
+        got = BigramLM.fit(corpus, alpha).to_dict()
+        want = per_token_bigram_fit(corpus, alpha).to_dict()
+        assert got == want
+        # The same key order too, so even an unsorted dump is unchanged.
+        assert json.dumps(got) == json.dumps(want)
 
 
 class TestSentenceLogProb:

@@ -240,13 +240,17 @@ class TestRankCandidates:
     def test_gru_steps_scale_with_the_longest_candidate(self, models, monkeypatch):
         """All candidates are encoded together: a per-candidate encoder
         would step the GRU once per token of every candidate."""
-        calls = []
-        cell = ad.gru_cell
-        monkeypatch.setattr(ad, "gru_cell", lambda *args: calls.append(1) or cell(*args))
+        calls = {"gru_cell": [], "gru_sequence": []}
+        for kind, log in calls.items():
+            primitive = getattr(ad, kind)
+            monkeypatch.setattr(ad, kind, lambda *args, log=log, primitive=primitive:
+                                log.append(args[0].shape[0]) or primitive(*args))
         candidates = [[5, 6, 7], [8], [9, 10], [5, 6, 7], [11, 12, 13, 14]]
         qa.candidate_scores(Q_IDS, candidates, models[0], [0] * len(candidates))
-        # The question's two directions are one gru_sequence each.
-        assert len(calls) == 2 * max(map(len, candidates))
+        # Each direction of the question, then of the candidate block, is one
+        # gru_sequence; the block steps as often as the longest candidate.
+        block_rows = len(candidates) * max(map(len, candidates))
+        assert calls == {"gru_cell": [], "gru_sequence": [len(Q_IDS)] * 2 + [block_rows] * 2}
 
     def test_empty_candidates_rejected(self, models):
         for candidates in ([], [[5], [], [6, 7]]):

@@ -1,6 +1,8 @@
 """Trainer tests: the duality regularizer's arithmetic, AdaDelta against
 an independent recurrence, step mechanics, and checkpoint integrity."""
 
+import collections
+import gc
 import math
 
 import numpy as np
@@ -13,7 +15,7 @@ from dualqa import bigram, qa, qg, text, trainer
 
 from helpers import (
     SMALL_ROWS, TINY_DIMS, GradientCheckError, grad_check, make_small_trainer, make_tiny_models,
-    small_corpus, toy_dual_objectives, unique_tensors,
+    per_token_bigram_fit, small_corpus, toy_dual_objectives, toy_dual_trainer, unique_tensors,
 )
 
 
@@ -362,6 +364,22 @@ class TestTrainStep:
         (record,) = built
         assert record.nodes == []
 
+    def test_padding_rows_of_the_embeddings_stay_put(self, tmp_path):
+        """Each block pads its shorter sequences with PAD_ID; no state of a
+        padded step is read, so that embedding row gets exactly zero
+        gradient and AdaDelta leaves it as it was."""
+        dual, batch = toy_dual_trainer(tmp_path)
+        lengths = {len(p.answer_tokens) for p in batch.positives + batch.negatives}
+        assert len(lengths) > 1  # the answer blocks are padded
+        tables = (dual.qa_params.question_embeddings, dual.qa_params.answer_embeddings)
+        before = [t.values.copy() for t in tables]
+        dual.train_step(batch)
+        for table, old in zip(tables, before):
+            assert table.values[text.PAD_ID].tobytes() == old[text.PAD_ID].tobytes()
+        # A row the batch does read moves.
+        a_id = dual.vocab_a.encode(batch.positives[0].answer_tokens)[0]
+        assert not np.array_equal(tables[1].values[a_id], before[1][a_id])
+
     def test_step_counter_advances(self, tmp_path):
         pairs = small_corpus(tmp_path)
         dual = make_small_trainer(pairs)
@@ -400,6 +418,32 @@ class TestTrainStep:
             dual.train_step(text.TrainingBatch([], []))
 
 
+class TestNoCyclicGarbage:
+    """``_step`` clears its record so that reference counting alone frees
+    the tape: with the cyclic collector off, a toy dual step, a candidate
+    ranking and a beam search each leave nothing for it to collect."""
+
+    @pytest.mark.parametrize("op", ["train_step", "candidate_scores", "beam_search"])
+    def test_leaves_no_cycles(self, tmp_path, op):
+        dual, batch = toy_dual_trainer(tmp_path)
+        pos = batch.positives[0]
+        q_ids = dual.vocab_q.encode(pos.question_tokens)
+        answers = [dual.vocab_a.encode(p.answer_tokens) for p in batch.positives[:5]]
+        run = {
+            "train_step": lambda: dual.train_step(batch),
+            "candidate_scores": lambda: qa.candidate_scores(q_ids, answers, dual.qa_params,
+                                                            [0] * len(answers)),
+            "beam_search": lambda: qg.beam_search(answers[0], 5, 10, dual.qg_params),
+        }[op]
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestTapeSize:
     """Deterministic node counts: a GRU update, a whole GRU pass and each
     log-softmax are one tape node, which keeps a toy dual step's record
@@ -413,19 +457,22 @@ class TestTapeSize:
                         ad.zeros(cell.hidden_dim))
         assert [node.kind for node in rec.nodes] == ["gru_cell"]
 
-    def test_toy_dual_step_records_at_most_5000_nodes(self, tmp_path):
+    def test_toy_dual_step_records_at_most_4400_nodes(self, tmp_path):
         record, objectives, *_ = toy_dual_objectives(tmp_path)
         # The record train_step's backward walk sees: one row per objective.
         assert objectives._record is record and objectives.shape == (2,)
-        assert len(record.nodes) <= 5000
+        assert len(record.nodes) <= 4400
 
     def test_toy_dual_step_tape_holds_no_decode_only_node(self, tmp_path):
         # Row forms and the per-token cell serve decoding and ranking; each
-        # GRU pass that training records is one gru_sequence node.
+        # GRU pass that training records is one gru_sequence node, and each
+        # covers a whole block: the QA questions and answers, the QG answers
+        # (two directions each) and the decoder.
         record, *_ = toy_dual_objectives(tmp_path)
-        kinds = {node.kind for node in record.nodes}
-        assert not kinds & {"reshape", "linear_log_softmax", "gru_cell"}
-        assert len(record.nodes) == 4696
+        kinds = collections.Counter(node.kind for node in record.nodes)
+        assert not kinds.keys() & {"reshape", "linear_log_softmax", "gru_cell"}
+        assert kinds["gru_sequence"] == 7
+        assert len(record.nodes) == 4286
 
 
 class TestNamedParameters:
@@ -526,6 +573,16 @@ class TestCheckpoint:
         with pytest.raises(trainer.CheckpointError,
                            match=f"holds {n - 1} records, model needs {n}"):
             trainer.load_checkpoint(path)
+
+    def test_bigram_fit_leaves_the_checkpoint_bytes_unchanged(self, tmp_path):
+        dual, path = self._build(tmp_path)
+        positives = [p for p in small_corpus(tmp_path) if p.label == 1]
+        lm_q, lm_a = (per_token_bigram_fit([getattr(p, side) for p in positives])
+                      for side in ("question_tokens", "answer_tokens"))
+        path2 = tmp_path / "model2.ckpt"
+        trainer.save_checkpoint(path2, dual.qa_params, dual.qg_params, lm_q, lm_a,
+                                dual.vocab_q, dual.vocab_a, _checkpoint_config())
+        assert path.read_bytes() == path2.read_bytes()
 
     def test_resave_identical_bytes(self, tmp_path):
         _, path = self._build(tmp_path)
