@@ -349,22 +349,19 @@ def gru_sequence(X: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
         raise ValueError("gru_sequence: needs (T * B >= 1, in) and (h,) or (B, h), "
                          f"got {X.shape}, {h0.shape}")
     T, n_h = X.shape[0] // B, h0.shape[-1]
-    # One sequence steps by matrix-vector products, as a ``gru_cell`` chain
-    # does, and B sequences by stacked ones, which round the same per row.
-    state, mv = ((B, n_h), _rows_mv) if B > 1 else ((n_h,), np.matmul)
-    px = [_rows_mv(W, X).reshape((T,) + state) for W in (W_z, W_r, W_h)]
-    H = np.empty((T + 1,) + state)  # H[0] is h0, H[t + 1] the states after token t
-    Z, R, RH, C = (np.empty((T,) + state) for _ in range(4))
-    H[0] = h0.reshape(state)
+    px = [_rows_mv(W, X).reshape(T, B, n_h) for W in (W_z, W_r, W_h)]
+    H = np.empty((T + 1, B, n_h))  # H[0] is h0, H[t + 1] the states after token t
+    Z, R, RH, C = (np.empty((T, B, n_h)) for _ in range(4))
+    H[0] = h0
     for t, px_t in enumerate(zip(*px)):
-        z, r, rh, c = Z[t], R[t], RH[t], C[t] = _gru_gates(mv, *px_t, H[t], U_z, U_r, U_h)
+        z, r, rh, c = Z[t], R[t], RH[t], C[t] = _gru_gates(_rows_mv, *px_t, H[t], U_z, U_r, U_h)
         H[t + 1] = z * c + (1.0 - z) * H[t]
 
     def vjp(g):
         k = g.shape[0]
-        g = g.reshape((k, T) + state)
-        A = np.empty((3, k, T) + state)  # pre-activation gradients of z, r and c
-        d_h = np.zeros((k,) + state)
+        g = g.reshape(k, T, B, n_h)
+        A = np.empty((3, k, T, B, n_h))  # pre-activation gradients of z, r and c
+        d_h = np.zeros((k, B, n_h))
         for t in range(T - 1, -1, -1):
             A[0, :, t], A[1, :, t], A[2, :, t], d_h = _gru_pre_grads(
                 g[:, t] + d_h, Z[t], R[t], C[t], H[t], U_z, U_r, U_h)

@@ -15,13 +15,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .metrics import ranked_order
-from .text import time_major
+from .text import PAD_ID
 
 __all__ = [
     "glorot_uniform",
     "GRUCellParams",
     "gru_step",
     "QAParams",
+    "time_major",
     "bigru_states",
     "encode_bigru",
     "qa_score",
@@ -100,6 +101,16 @@ class QAParams:
         if side == "answer":
             return self.answer_embeddings, self.answer_fwd, self.answer_bwd
         raise ValueError(f"side must be 'question' or 'answer', got {side!r}")
+
+
+def time_major(seqs) -> np.ndarray:
+    """The ids of B lists as T * B ids in time-major order, id t * B + b
+    token t of list b: each list left-aligned, padded with ``PAD_ID`` to
+    the longest, T."""
+    grid = np.full((max(map(len, seqs)), len(seqs)), PAD_ID, dtype=np.intp)
+    for b, seq in enumerate(seqs):
+        grid[:len(seq), b] = seq
+    return grid.ravel()
 
 
 def bigru_states(seqs: list[list[int]], emb: ad.Tensor, fwd: GRUCellParams,

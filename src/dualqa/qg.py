@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .qa import GRUCellParams, bigru_states, gru_step
-from .text import EOS_ID, SOS_ID, UNK_ID, Vocabulary, time_major
+from .qa import GRUCellParams, bigru_states, gru_step, time_major
+from .text import EOS_ID, SOS_ID, UNK_ID, Vocabulary
 
 __all__ = [
     "QGParams",
@@ -55,24 +55,15 @@ class QGParams:
     output_projection: ad.Tensor
 
 
-def encode_answer(a_ids: list[int] | list[list[int]], params: QGParams):
+def encode_answer(a_ids: list[int], params: QGParams):
     """Returns (H, s0): the (T, 2h) forward and backward states of a BiGRU
     pass over the answer, side by side in input order in the rows of H, and
     the final states of both directions concatenated as the initial decoder
-    state.  ``a_ids`` may also be a list of B id lists, encoded by one
-    ``bigru_states``: H is then a list of B such tensors and s0 a (B, 2h)
-    block, each equal to the single answer's bit for bit."""
-    single = not a_ids or isinstance(a_ids[0], (int, np.integer))
-    seqs = [a_ids] if single else a_ids
-    fwd_states, bwd_states, last = bigru_states(
-        seqs, params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
-    B = len(seqs)
-    H = [ad.concat([ad.row_lookup(fwd_states, range(b, n * B, B)),
-                    ad.row_lookup(bwd_states, range((n - 1) * B + b, -1, -B))])
-         for b, n in enumerate(map(len, seqs))]
-    rows = last[0] if single else last
-    s0 = ad.concat([ad.row_lookup(fwd_states, rows), ad.row_lookup(bwd_states, rows)])
-    return (H[0] if single else H), s0
+    state; the B = 1 case of ``bigru_states``."""
+    fwd_states, bwd_states, (last,) = bigru_states(
+        [a_ids], params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
+    s0 = ad.concat([ad.row_lookup(fwd_states, last), ad.row_lookup(bwd_states, last)])
+    return ad.concat([fwd_states, ad.row_lookup(bwd_states, range(last, -1, -1))]), s0
 
 
 def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Tensor,
@@ -137,7 +128,13 @@ def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | lis
         raise ValueError("sequence_log_prob: empty question")
     distinct: dict[tuple, int] = {}
     index = [distinct.setdefault(tuple(a), len(distinct)) for a in answers]
-    Hs, s0 = encode_answer(list(distinct), params)
+    fwd_states, bwd_states, last = bigru_states(
+        list(distinct), params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
+    D = len(distinct)
+    Hs = [ad.concat([ad.row_lookup(fwd_states, range(i, len(a) * D, D)),
+                     ad.row_lookup(bwd_states, range(last[i], -1, -D))])
+          for i, a in enumerate(distinct)]
+    s0 = ad.concat([ad.row_lookup(fwd_states, last), ad.row_lookup(bwd_states, last)])
     targets = [[int(t) for t in q] + [EOS_ID] for q in questions]
     B = len(targets)
     S = ad.gru_sequence(

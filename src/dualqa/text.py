@@ -8,8 +8,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "PAD_ID",
     "UNK_ID",
@@ -25,7 +23,6 @@ __all__ = [
     "cooccurrence_count",
     "load_tsv",
     "make_batches",
-    "time_major",
 ]
 
 PAD_ID, UNK_ID, SOS_ID, EOS_ID = 0, 1, 2, 3
@@ -209,13 +206,3 @@ def make_batches(pairs: list[QAPair], batch_size: int = 64, pool_batches: int = 
                     )
                 )
             yield TrainingBatch(chunk, negatives)
-
-
-def time_major(seqs) -> np.ndarray:
-    """The ids of B lists as T * B ids in time-major order, id t * B + b
-    token t of list b: each list left-aligned, padded with ``PAD_ID`` to
-    the longest, T."""
-    grid = np.full((max(map(len, seqs)), len(seqs)), PAD_ID, dtype=np.intp)
-    for b, seq in enumerate(seqs):
-        grid[:len(seq), b] = seq
-    return grid.ravel()

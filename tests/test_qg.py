@@ -316,9 +316,9 @@ class TestSequenceGRUEqualsPerTokenChain:
     @pytest.mark.parametrize("dims", [TOY_DIMS, MID_DIMS], ids=["toy", "mid"])
     def test_pairs_as_one_block_equal_single_pairs(self, dims, monkeypatch):
         """B ragged pairs, one answer repeated, in one call: each pair's
-        H, s0, scored rows and log-probability equal its own call's bit
-        for bit, and the gradients of the summed log-probabilities equal
-        the sum of the single pairs' to 1e-12."""
+        scored rows and log-probability equal its own call's bit for bit,
+        and the gradients of the summed log-probabilities equal the sum of
+        the single pairs' to 1e-12."""
         models = trainer.init_models(40, 40, dims, seed=5)
         qg_params, params = models[1], model_tensors(models, "qg")
         draws = list(self._draws(dims))
@@ -333,18 +333,14 @@ class TestSequenceGRUEqualsPerTokenChain:
             loss = got[0]
             for lp in got[1:]:
                 loss = ad.add(loss, lp)
-            Hs, s0 = qg.encode_answer(answers, qg_params)
         grads = ad.backward(loss, params)
         block_rows, scored[:] = scored[:], []
         want_grads = [np.zeros(t.shape) for t in params]
         for b, (q_ids, a_ids) in enumerate(zip(questions, answers)):
             with ad.ComputationRecord():
                 want = qg.sequence_log_prob(q_ids, a_ids, qg_params)
-                H, s = qg.encode_answer(a_ids, qg_params)
             assert got[b].item() == want.item()
             assert np.array_equal(block_rows[b], scored[-1])
-            assert np.array_equal(Hs[b].values, H.values)
-            assert np.array_equal(s0.values[b], s.values)
             want_grads = [acc + g for acc, g in zip(want_grads, ad.backward(want, params))]
         for g, w in zip(grads, want_grads):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
