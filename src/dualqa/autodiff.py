@@ -13,17 +13,16 @@ Griewank & Walther 2008, ch. 3): every gradient carries a leading axis of
 k channels, one per entry, so each rule below maps a (k, *output)
 gradient to (k, *input) contributions.
 ``gru_sequence`` runs B sequences at once over time-major rows, and
-every GRU pass of training and ranking is one of its blocks; the GRU
-cell, attention and the output layer also take B rows in place of one
-vector, which decoding uses.
+every GRU pass of training and ranking is one of its blocks.  Decoding
+runs on plain arrays through the forward helpers the primitives share:
+``_gru_run`` (the GRU recurrence), ``_softmax`` and ``_log_softmax``.
 ``reduce_sum`` is test support: no code here calls it, and the tests
 build scalar losses with it.
-Desk-scale on purpose: float64 everywhere, five fused primitives (the
-GRU update ``gru_cell``, B whole GRU passes ``gru_sequence``, the
-max-shifted ``log_softmax``, the decoder's output layer
-``linear_log_softmax``, and ``target_log_prob``, a whole sequence's
-output layer and target log-probabilities in one node), no sparse
-storage, no higher-order derivatives.
+Desk-scale on purpose: float64 everywhere, three fused primitives (B
+whole GRU passes ``gru_sequence``, the max-shifted ``log_softmax``, and
+``target_log_prob``, a whole sequence's output layer and target
+log-probabilities in one node), no sparse storage, no higher-order
+derivatives.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ __all__ = [
     "elementwise_mul",
     "matmul",
     "concat",
-    "reshape",
     "row_lookup",
-    "gru_cell",
     "gru_sequence",
     "tanh",
     "softmax_lastdim",
     "log_softmax",
-    "linear_log_softmax",
     "target_log_prob",
     "square",
     "reduce_sum",
@@ -177,17 +173,17 @@ def _check_broadcast(kind, a, b):
         ) from None
 
 
-def _unbroadcast(grad, shape):
-    """Sum a (channels, *broadcast shape) ``grad`` down to (channels,
+def _unbroadcast(g, shape):
+    """Sum a (channels, *broadcast shape) gradient ``g`` down to (channels,
     *shape): the inverse of numpy broadcasting, channel axis kept."""
-    extra = grad.ndim - 1 - len(shape)
+    extra = g.ndim - 1 - len(shape)
     if extra:
-        grad = grad.sum(axis=tuple(range(1, 1 + extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape[1:], shape), 1)
-                 if s == 1 and g != 1)
+        g = g.sum(axis=tuple(range(1, 1 + extra)))
+    axes = tuple(i for i, (n, s) in enumerate(zip(g.shape[1:], shape), 1)
+                 if s == 1 and n != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(grad.shape[:1] + shape)
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(g.shape[:1] + shape)
 
 
 def _stable_sigmoid(x):
@@ -210,20 +206,16 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix-matrix, vector-matrix or matrix-vector product, or a rank-3
-    block times a vector (one matrix-vector product per leading index)."""
+    """Matrix-matrix, vector-matrix or matrix-vector product."""
     av, bv = a.values, b.values
-    if (av.ndim, bv.ndim) not in ((1, 2), (2, 1), (2, 2), (3, 1)):
-        raise ValueError("matmul: needs a 2-D operand, or a 3-D one by a vector, "
-                         f"got {a.shape} and {b.shape}")
+    if (av.ndim, bv.ndim) not in ((1, 2), (2, 1), (2, 2)):
+        raise ValueError(f"matmul: needs a 2-D operand, got {a.shape} and {b.shape}")
     if av.shape[-1] != bv.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
     def vjp(g):
         if av.ndim == 1:
             return g @ bv.T, av[:, None] * g[:, None, :]
-        if av.ndim == 3:
-            return g[..., None] * bv, g.reshape(g.shape[0], -1) @ av.reshape(-1, bv.size)
         if bv.ndim == 1:
             return g[:, :, None] * bv, g @ av
         return g @ bv.T, av.T @ g
@@ -257,13 +249,6 @@ def concat(parts, axis=0) -> Tensor:
                  lambda g: [g[..., i:j] for i, j in zip(ends, ends[1:])])
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    """The same values in a new shape, e.g. a (B, n) block as (B, 1, n)."""
-    v = x.values
-    return _emit("reshape", (x,), v.reshape(shape),
-                 lambda g: (g.reshape(g.shape[:1] + v.shape),))
-
-
 def row_lookup(table: Tensor, indices) -> Tensor:
     """Select rows of ``table``.  An int index returns a single row; a
     sequence returns one row per entry."""
@@ -275,15 +260,6 @@ def row_lookup(table: Tensor, indices) -> Tensor:
             raise IndexError(f"row_lookup: index {i} out of range for table with {n} rows")
     return _emit("row_lookup", (table,), np.array(table.values[rows], dtype=np.float64),
                  lambda g: (((slice(None), rows), g),))
-
-
-def _gru_gates(mv, p_z, p_r, p_h, h, U_z, U_r, U_h):
-    """z, r, r * h and the candidate c of a GRU update from the input
-    projections p_z = W_z x, p_r = W_r x, p_h = W_h x and the state ``h``."""
-    z = _stable_sigmoid(p_z + mv(U_z, h))
-    r = _stable_sigmoid(p_r + mv(U_r, h))
-    rh = r * h
-    return z, r, rh, np.tanh(p_h + mv(U_h, rh))
 
 
 def _gru_pre_grads(g, z, r, c, h, U_z, U_r, U_h):
@@ -302,60 +278,52 @@ def _rows_mv(W, v):
     return np.matmul(W, v[:, :, None])[:, :, 0]
 
 
-def gru_cell(x: Tensor, h: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
-             U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
-    """One bias-free GRU update (Cho et al. 2014) as a single node:
+def _gru_run(X, h0, W_z, U_z, W_r, U_r, W_h, U_h):
+    """T bias-free GRU updates (Cho et al. 2014) of B sequences on arrays:
     z = sigmoid(W_z x + U_z h), r = sigmoid(W_r x + U_r h),
-    c = tanh(W_h x + U_h (r * h)), and the result z * c + (1 - z) * h.
-    ``x`` and ``h`` may be (B, in) and (B, hidden) blocks of B states;
-    each row then equals the vector call on that row bit for bit."""
-    inputs = (x, h, W_z, U_z, W_r, U_r, W_h, U_h)
-    x, h, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
-    rows = x.ndim == 2
-    mv = _rows_mv if rows else np.matmul
-    z, r, rh, c = _gru_gates(mv, *(mv(W, x) for W in (W_z, W_r, W_h)), h, U_z, U_r, U_h)
-
-    def vjp(g):
-        a_z, a_r, a_h, d_h = _gru_pre_grads(g, z, r, c, h, U_z, U_r, U_h)
-        d_x = a_z @ W_z + a_r @ W_r + a_h @ W_h
-        if not rows:  # one outer product per weight
-            a_z3, a_r3, a_h3 = a_z[:, :, None], a_r[:, :, None], a_h[:, :, None]
-            return d_x, d_h, a_z3 * x, a_z3 * h, a_r3 * x, a_r3 * h, a_h3 * x, a_h3 * rh
-        # Rows: one product per weight sums over the row axis.
-        return d_x, d_h, *(a.swapaxes(1, 2) @ v for a, v in
-                           ((a_z, x), (a_z, h), (a_r, x), (a_r, h), (a_h, x), (a_h, rh)))
-    return _emit("gru_cell", inputs, z * c + (1.0 - z) * h, vjp)
+    c = tanh(W_h x + U_h (r * h)), and the new state z * c + (1 - z) * h.
+    ``h0`` is one (hidden,) state (B = 1) or a (B, hidden) block, and ``X``
+    holds T * B input rows in time-major order, row t * B + b token t of
+    sequence b.  Each input projection is one stacked product over all
+    rows (Appleyard et al. 2016) and each step advances every sequence
+    with one stacked product per weight, so each row is computed as the
+    vector products on it would be.  Returns the (T + 1, B, hidden) states
+    H, H[0] = h0 and H[t + 1] the states after token t, and the
+    (T, B, hidden) gates Z and R, products R * H[:-1] and candidates C."""
+    B = h0.shape[0] if h0.ndim == 2 else 1
+    T, n_h = X.shape[0] // B, h0.shape[-1]
+    p_z, p_r, p_h = (_rows_mv(W, X).reshape(T, B, n_h) for W in (W_z, W_r, W_h))
+    H = np.empty((T + 1, B, n_h))
+    Z, R, RH, C = (np.empty((T, B, n_h)) for _ in range(4))
+    H[0] = h0
+    for t in range(T):
+        h = H[t]
+        z = Z[t] = _stable_sigmoid(p_z[t] + _rows_mv(U_z, h))
+        r = R[t] = _stable_sigmoid(p_r[t] + _rows_mv(U_r, h))
+        rh = RH[t] = r * h
+        c = C[t] = np.tanh(p_h[t] + _rows_mv(U_h, rh))
+        H[t + 1] = z * c + (1.0 - z) * h
+    return H, Z, R, RH, C
 
 
 def gru_sequence(X: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, W_r: Tensor,
                  U_r: Tensor, W_h: Tensor, U_h: Tensor) -> Tensor:
-    """The states of T ``gru_cell`` updates of B sequences at once, as one
-    node.  ``h0`` is one (hidden,) state (B = 1) or a (B, hidden) block;
-    ``X`` holds T * B input rows in time-major order, row t * B + b token t
-    of sequence b, and so does the (T * B, hidden) result.  Each input
-    projection is one stacked product over all rows (Appleyard et al.
-    2016), each step advances every sequence with one stacked product per
-    weight, and each row equals its sequence's per-token ``gru_cell`` chain
-    bit for bit.  A sequence shorter than T is left-aligned and padded: its
-    states past its end are computed, and where no caller reads them their
-    gradient, and that of their input rows, is exactly zero.  The rule
-    runs backpropagation through time (Werbos 1990) over (channels, B,
-    hidden) blocks and forms each weight's gradient as one product over
-    all T * B rows."""
+    """B GRU passes at once (``_gru_run``) as one node, whose (T * B, hidden)
+    result is time-major as ``X`` is.  Each row equals its sequence's chain
+    of T = 1 calls bit for bit.  A sequence shorter than T is left-aligned
+    and padded: its states past its end are computed, and where no caller
+    reads them their gradient, and that of their input rows, is exactly
+    zero.  The rule runs backpropagation through time (Werbos 1990) over
+    (channels, B, hidden) blocks and forms each weight's gradient as one
+    product over all T * B rows."""
     inputs = (X, h0, W_z, U_z, W_r, U_r, W_h, U_h)
     X, h0, W_z, U_z, W_r, U_r, W_h, U_h = [t.values for t in inputs]
     B = h0.shape[0] if h0.ndim == 2 else 1
     if X.ndim != 2 or h0.ndim not in (1, 2) or not X.shape[0] or X.shape[0] % B:
         raise ValueError("gru_sequence: needs (T * B >= 1, in) and (h,) or (B, h), "
                          f"got {X.shape}, {h0.shape}")
-    T, n_h = X.shape[0] // B, h0.shape[-1]
-    px = [_rows_mv(W, X).reshape(T, B, n_h) for W in (W_z, W_r, W_h)]
-    H = np.empty((T + 1, B, n_h))  # H[0] is h0, H[t + 1] the states after token t
-    Z, R, RH, C = (np.empty((T, B, n_h)) for _ in range(4))
-    H[0] = h0
-    for t, px_t in enumerate(zip(*px)):
-        z, r, rh, c = Z[t], R[t], RH[t], C[t] = _gru_gates(_rows_mv, *px_t, H[t], U_z, U_r, U_h)
-        H[t + 1] = z * c + (1.0 - z) * H[t]
+    H, Z, R, RH, C = _gru_run(X, h0, W_z, U_z, W_r, U_r, W_h, U_h)
+    T, B, n_h = Z.shape
 
     def vjp(g):
         k = g.shape[0]
@@ -379,19 +347,23 @@ def tanh(x: Tensor) -> Tensor:
     return _emit("tanh", (x,), y, lambda g: (g * (1.0 - y * y),))
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    v = x.values
-    if v.ndim < 1:
-        raise ValueError("softmax_lastdim: needs at least one dimension")
+def _softmax(v):
     e = np.exp(v - v.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    return _emit("softmax_lastdim", (x,), y,
-                 lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(v):
     shifted = v - v.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    v = x.values
+    if v.ndim < 1:
+        raise ValueError("softmax_lastdim: needs at least one dimension")
+    y = _softmax(v)
+    return _emit("softmax_lastdim", (x,), y,
+                 lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -401,33 +373,15 @@ def log_softmax(x: Tensor) -> Tensor:
                  lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
 
 
-def _output_log_softmax(kind, xv, wv, ranks):
-    """log(softmax(X W^T)) over the last axis, for an ``X`` of rank in ``ranks``."""
-    if xv.ndim not in ranks or wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
-        raise ValueError(f"{kind}: incompatible shapes {xv.shape} and {wv.shape}")
-    return _log_softmax(xv @ wv.T)
-
-
-def linear_log_softmax(X: Tensor, W: Tensor) -> Tensor:
-    """log(softmax(W x)) for a vector ``X``, or for each row x of a (B, n)
-    block: the output layer of one decoding step as one node."""
-    xv, wv = X.values, W.values
-    y = _output_log_softmax("linear_log_softmax", xv, wv, (1, 2))
-
-    def vjp(g):
-        G = g - np.exp(y) * g.sum(axis=-1, keepdims=True)
-        rows = G.reshape(g.shape[0], -1, wv.shape[0])
-        return G @ wv, rows.swapaxes(1, 2) @ xv.reshape(-1, wv.shape[1])
-    return _emit("linear_log_softmax", (X, W), y, vjp)
-
-
 def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
     """Sum over the rows x_t of ``X`` of log(softmax(W x_t))[targets[t]]:
     one product ``X @ W.T``, one max-shifted log-softmax per row and one
     gather, so the gradient of ``W`` is one product rather than one outer
     product per row."""
     xv, wv = X.values, W.values
-    y = _output_log_softmax("target_log_prob", xv, wv, (2,))
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise ValueError(f"target_log_prob: incompatible shapes {xv.shape} and {wv.shape}")
+    y = _log_softmax(xv @ wv.T)
     cols = np.array([int(t) for t in targets], dtype=np.intp)
     if cols.shape != (xv.shape[0],):
         raise ValueError(f"target_log_prob: {cols.size} targets for {xv.shape[0]} rows")

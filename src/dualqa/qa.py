@@ -70,9 +70,11 @@ class GRUCellParams:
         return self.W_z, self.U_z, self.W_r, self.U_r, self.W_h, self.U_h
 
 
-def gru_step(cell: GRUCellParams, x: ad.Tensor, h_prev: ad.Tensor) -> ad.Tensor:
-    """One GRU update: z and r gate the candidate state against h_prev."""
-    return ad.gru_cell(x, h_prev, *cell.weights)
+def gru_step(cell: GRUCellParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+    """One GRU update of B states on arrays, unrecorded: the (B, in) inputs
+    and (B, h) states give the (B, h) new states, each row the T = 1
+    ``gru_sequence`` of that row bit for bit."""
+    return ad._gru_run(x, h_prev, *(w.values for w in cell.weights))[0][1]
 
 
 @dataclass

@@ -5,7 +5,8 @@ attention-driven UNK replacement.
 The decoder state width equals the encoder's concatenated output (twice
 the per-direction hidden size) so the encoder summary seeds the decoder
 directly.  Cumulative log-probability scores beams; no length
-normalization.  Decoding advances every live beam at once: their states
+normalization.  Teacher forcing runs on the tape; decoding runs on plain
+arrays, unrecorded, and advances every live beam at once: their states
 and attention histories are the rows of one block.
 """
 
@@ -72,15 +73,12 @@ def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Te
     previous step's attention-weighted sum (zero at the first step).
     ``keys`` is ``H @ att_encoder``, fixed for the whole answer, so
     callers compute it once per answer (Bahdanau et al. 2015, appendix A).
-    ``s_t`` and ``history`` may be (B, 2h) blocks, one row per decoder.
 
-    Returns (weights over positions, context vector), in rows for blocks.
+    Returns (weights over positions, context vector).
     """
-    def per_position(t):  # a (B, att) block meets the (T, att) keys as (B, 1, att)
-        return t if t.values.ndim == 1 else ad.reshape(t, (t.shape[0], 1, t.shape[1]))
     projected = ad.add(
-        ad.add(keys, per_position(ad.matmul(s_t, params.att_state))),
-        per_position(ad.matmul(history, params.att_history)),
+        ad.add(keys, ad.matmul(s_t, params.att_state)),
+        ad.matmul(history, params.att_history),
     )
     scores = ad.matmul(ad.tanh(projected), params.att_vector)
     alpha = ad.softmax_lastdim(scores)
@@ -88,21 +86,26 @@ def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Te
     return alpha, context
 
 
-def decode_step(prev_ids, state: ad.Tensor, H: ad.Tensor, keys: ad.Tensor,
-                history: ad.Tensor, params: QGParams):
-    """Advance the decoder one step, from one previous token id and state
-    and history vectors, or from B ids and (B, 2h) blocks (B decoders).
+def decode_step(prev_ids, state: np.ndarray, H: np.ndarray, keys: np.ndarray,
+                history: np.ndarray, params: QGParams):
+    """Advance B decoders one step on arrays, unrecorded, from B previous
+    token ids and (B, 2h) states and attention histories; ``H`` is the
+    encoded answer and ``keys`` its ``H @ att_encoder``.
 
-    Returns (log-probabilities over the question vocabulary, new state,
-    attention weights, context vector), in rows for blocks; the context
-    is the next step's attention history.  The log-probabilities come
+    Returns the (B, V) log-probabilities over the question vocabulary, the
+    new states, the (B, T) attention weights and the (B, 2h) contexts, the
+    next step's histories: ``attention_step`` and the output layer of
+    ``target_log_prob`` on every row at once.  The log-probabilities come
     from one max-shifted log-softmax, so they are finite even where a
     probability underflows.
     """
-    embedded = ad.row_lookup(params.question_embeddings, prev_ids)
-    s_t = gru_step(params.decoder, embedded, state)
-    alpha, context = attention_step(s_t, H, keys, history, params)
-    log_probs = ad.linear_log_softmax(ad.concat([s_t, context]), params.output_projection)
+    s_t = gru_step(params.decoder, params.question_embeddings.values[prev_ids], state)
+    projected = (keys + (s_t @ params.att_state.values)[:, None]
+                 + (history @ params.att_history.values)[:, None])
+    alpha = ad._softmax(np.tanh(projected) @ params.att_vector.values)
+    context = alpha @ H
+    log_probs = ad._log_softmax(
+        np.concatenate([s_t, context], axis=1) @ params.output_projection.values.T)
     return log_probs, s_t, alpha, context
 
 
@@ -196,41 +199,41 @@ def beam_search(a_ids: list[int], beam_size: int, max_len: int,
     Hypotheses emitting EOS are finished and keep competing in the pool;
     survivors are forcibly finished at ``max_len``.  Output is sorted by
     log-probability descending.  Each step is one ``decode_step`` on the
-    block of every live beam's state and history.
+    block of every live beam's state and history; nothing is recorded.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     with ad.no_recording():
-        H, s0 = encode_answer(a_ids, params)
-        keys = ad.matmul(H, params.att_encoder)
-        states, histories = ad.concat([s0], axis="rows"), ad.zeros((1, H.shape[1]))
-        live = [_Beam([], 0.0, [], 0)]
-        finished: list[_Beam] = []
-        for _ in range(max_len):
-            prev = [beam.tokens[-1] if beam.tokens else SOS_ID for beam in live]
-            log_probs, states, alpha, histories = decode_step(prev, states, H, keys,
-                                                              histories, params)
-            pool = list(finished)
-            for i, (beam, scores, row) in enumerate(zip(live, log_probs.values, alpha.values)):
-                row = row.copy()  # a view would keep the whole block alive
-                # Each live beam contributes at most beam_size extensions.
-                top = _top_ids(scores, beam_size)
-                for token, log_prob in zip(top.tolist(), scores[top].tolist()):
-                    pool.append(_Beam(beam.tokens + [token], beam.log_prob + log_prob,
-                                      beam.rows + [row], i))
-            pool.sort(key=lambda b: -b.log_prob)
-            kept = pool[:beam_size]
-            live = [b for b in kept if b.tokens[-1] != EOS_ID]
-            finished = [b for b in kept if b.tokens[-1] == EOS_ID]
-            if not live:
-                break
-            # The survivors' rows of this step's block, in their new order.
-            parents = [b.block_row for b in live]
-            states, histories = ad.row_lookup(states, parents), ad.row_lookup(histories, parents)
-        finished += live
-        finished.sort(key=lambda b: -b.log_prob)
+        H, s0 = (t.values for t in encode_answer(a_ids, params))
+    keys = H @ params.att_encoder.values
+    states, histories = s0[None], np.zeros((1, H.shape[1]))
+    live = [_Beam([], 0.0, [], 0)]
+    finished: list[_Beam] = []
+    for _ in range(max_len):
+        prev = [beam.tokens[-1] if beam.tokens else SOS_ID for beam in live]
+        log_probs, states, alpha, histories = decode_step(prev, states, H, keys, histories,
+                                                          params)
+        pool = list(finished)
+        for i, (beam, scores, row) in enumerate(zip(live, log_probs, alpha)):
+            row = row.copy()  # a view would keep the whole block alive
+            # Each live beam contributes at most beam_size extensions.
+            top = _top_ids(scores, beam_size)
+            for token, log_prob in zip(top.tolist(), scores[top].tolist()):
+                pool.append(_Beam(beam.tokens + [token], beam.log_prob + log_prob,
+                                  beam.rows + [row], i))
+        pool.sort(key=lambda b: -b.log_prob)
+        kept = pool[:beam_size]
+        live = [b for b in kept if b.tokens[-1] != EOS_ID]
+        finished = [b for b in kept if b.tokens[-1] == EOS_ID]
+        if not live:
+            break
+        # The survivors' rows of this step's block, in their new order.
+        parents = [b.block_row for b in live]
+        states, histories = states[parents], histories[parents]
+    finished += live
+    finished.sort(key=lambda b: -b.log_prob)
     return [
         BeamHypothesis(b.tokens, b.log_prob, b.rows, True)
         for b in finished[:beam_size]

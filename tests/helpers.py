@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 
 from dualqa import autodiff as ad
-from dualqa import bigram, qa, qg, text, toy, trainer
+from dualqa import bigram, qg, text, toy, trainer
 
 TINY_DIMS = trainer.ModelDims(
     embedding_dim=6, qa_hidden=8, qg_hidden=8, attention_dim=5,
@@ -112,14 +112,20 @@ def toy_dual_objectives(tmp_path):
     return dual._batch_objectives(batch, use_dual=True)
 
 
+def gru_update(x, h, *weights):
+    """One GRU update of the state vector ``h`` by the (1, in) row ``x``: a
+    T = 1 ``gru_sequence`` node and the lookup of its one state."""
+    return ad.row_lookup(ad.gru_sequence(x, h, *weights), 0)
+
+
 def per_token_bigru_states(ids, emb, fwd, bwd):
-    """The BiGRU as a chain of per-token ``gru_step`` calls, one per id and
-    direction: each direction's states as a list in input order."""
+    """The BiGRU as a chain of per-token ``gru_update`` nodes, one per id
+    and direction: each direction's states as a list in input order."""
     states = []
     for cell, order in ((fwd, ids), (bwd, ids[::-1])):
         h, hs = ad.zeros(cell.hidden_dim), []
         for i in order:
-            h = qa.gru_step(cell, ad.row_lookup(emb, i), h)
+            h = gru_update(ad.row_lookup(emb, [i]), h, *cell.weights)
             hs.append(h)
         states.append(hs)
     return states[0], states[1][::-1]
@@ -135,15 +141,15 @@ def per_token_encode_answer(a_ids, qg_params):
 
 def per_token_sequence_log_prob(q_ids, a_ids, qg_params):
     """Teacher-forced log P(q | a) from per-token encoders and one
-    ``gru_step`` then ``attention_step`` per target, the [state; context]
+    ``gru_update`` then ``attention_step`` per target, the [state; context]
     rows scored by one ``target_log_prob``."""
     H, state = per_token_encode_answer(a_ids, qg_params)
     k, history = keys(H, qg_params), ad.zeros(H.shape[1])
     targets = list(q_ids) + [text.EOS_ID]
     rows = []
     for prev in [text.SOS_ID] + targets[:-1]:
-        state = qa.gru_step(qg_params.decoder,
-                            ad.row_lookup(qg_params.question_embeddings, prev), state)
+        state = gru_update(ad.row_lookup(qg_params.question_embeddings, [prev]), state,
+                           *qg_params.decoder.weights)
         _, history = qg.attention_step(state, H, k, history, qg_params)
         rows.append(ad.concat([state, history]))
     return ad.target_log_prob(ad.concat(rows, axis="rows"), qg_params.output_projection,
@@ -155,52 +161,56 @@ def keys(H, qg_params):
     return ad.matmul(H, qg_params.att_encoder)
 
 
-def argmax_decode(a_ids, max_len, qg_params):
-    """Greedy decoding as a chain of ``decode_step`` argmaxes until EOS or
-    ``max_len``: (tokens, summed log-probability, attention rows)."""
+def decode_inputs(a_ids, qg_params):
+    """(H, s0, keys) of an encoded answer, the arrays ``qg.decode_step``
+    takes."""
     with ad.no_recording():
-        H, state = qg.encode_answer(a_ids, qg_params)
-        k = keys(H, qg_params)
-        history, prev = ad.zeros(H.shape[1]), text.SOS_ID
-        tokens, log_prob, rows = [], 0.0, []
-        while len(tokens) < max_len and prev != text.EOS_ID:
-            log_probs, state, alpha, history = qg.decode_step(prev, state, H, k, history,
-                                                              qg_params)
-            prev = int(np.argmax(log_probs.values))
-            tokens.append(prev)
-            log_prob += float(log_probs.values[prev])
-            rows.append(alpha.values)
+        H, s0 = (t.values for t in qg.encode_answer(a_ids, qg_params))
+    return H, s0, H @ qg_params.att_encoder.values
+
+
+def argmax_decode(a_ids, max_len, qg_params):
+    """Greedy decoding as a chain of one-row ``decode_step`` argmaxes until
+    EOS or ``max_len``: (tokens, summed log-probability, attention rows)."""
+    H, s0, k = decode_inputs(a_ids, qg_params)
+    state, history, prev = s0[None], np.zeros((1, H.shape[1])), text.SOS_ID
+    tokens, log_prob, rows = [], 0.0, []
+    while len(tokens) < max_len and prev != text.EOS_ID:
+        log_probs, state, alpha, history = qg.decode_step([prev], state, H, k, history,
+                                                          qg_params)
+        prev = int(np.argmax(log_probs[0]))
+        tokens.append(prev)
+        log_prob += float(log_probs[0, prev])
+        rows.append(alpha[0])
     return tokens, log_prob, rows
 
 
 def per_beam_search(a_ids, beam_size, max_len, qg_params):
-    """Beam search with one vector ``decode_step`` per live beam per step,
+    """Beam search with one one-row ``decode_step`` per live beam per step,
     the pool and tie rule of ``qg.beam_search``: (tokens, log-probability,
     attention rows) of each hypothesis, best first."""
-    with ad.no_recording():
-        H, s0 = qg.encode_answer(a_ids, qg_params)
-        k = keys(H, qg_params)
-        # (tokens, log_prob, rows, state, history, finished)
-        live = [([], 0.0, [], s0, ad.zeros(H.shape[1]), False)]
-        finished = []
-        for _ in range(max_len):
-            pool = list(finished)
-            for tokens, log_prob, rows, state, history, _ in live:
-                prev = tokens[-1] if tokens else text.SOS_ID
-                log_probs, state, alpha, context = qg.decode_step(prev, state, H, k, history,
-                                                                  qg_params)
-                top = qg._top_ids(log_probs.values, beam_size)
-                for token in top.tolist():
-                    pool.append((tokens + [token], log_prob + float(log_probs.values[token]),
-                                 rows + [alpha.values], state, context, token == text.EOS_ID))
-            pool.sort(key=lambda b: -b[1])
-            kept = pool[:beam_size]
-            live = [b for b in kept if not b[5]]
-            finished = [b for b in kept if b[5]]
-            if not live:
-                break
-        finished += live
-        finished.sort(key=lambda b: -b[1])
+    H, s0, k = decode_inputs(a_ids, qg_params)
+    # (tokens, log_prob, rows, state, history, finished)
+    live = [([], 0.0, [], s0[None], np.zeros((1, H.shape[1])), False)]
+    finished = []
+    for _ in range(max_len):
+        pool = list(finished)
+        for tokens, log_prob, rows, state, history, _ in live:
+            prev = tokens[-1] if tokens else text.SOS_ID
+            log_probs, state, alpha, context = qg.decode_step([prev], state, H, k, history,
+                                                              qg_params)
+            top = qg._top_ids(log_probs[0], beam_size)
+            for token in top.tolist():
+                pool.append((tokens + [token], log_prob + float(log_probs[0, token]),
+                             rows + [alpha[0]], state, context, token == text.EOS_ID))
+        pool.sort(key=lambda b: -b[1])
+        kept = pool[:beam_size]
+        live = [b for b in kept if not b[5]]
+        finished = [b for b in kept if b[5]]
+        if not live:
+            break
+    finished += live
+    finished.sort(key=lambda b: -b[1])
     return [(tokens, log_prob, rows) for tokens, log_prob, rows, *_ in finished[:beam_size]]
 
 

@@ -2,7 +2,6 @@
 and finite-difference agreement for every primitive."""
 
 import math
-import types
 import zlib
 
 import numpy as np
@@ -12,10 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dualqa import autodiff as ad
-from dualqa import qg
 from dualqa.qa import GRUCellParams, glorot_uniform, gru_step
 
-from helpers import GradientCheckError, grad_check, masked_sigmoid, toy_dual_objectives
+from helpers import (GradientCheckError, grad_check, gru_update, masked_sigmoid,
+                     toy_dual_objectives)
 
 
 def _rand(rng, shape, scale=0.8):
@@ -59,6 +58,8 @@ class TestForwardErrors:
     def test_matmul_of_two_vectors_rejected(self):
         with pytest.raises(ValueError, match=r"matmul.*\(3,\).*\(3,\)"):
             ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match=r"matmul.*\(2, 2, 3\).*\(3,\)"):
+            ad.matmul(ad.Tensor(np.ones((2, 2, 3))), ad.Tensor(np.ones(3)))
 
     def test_concat_joins_vectors_or_matrices_on_the_last_axis(self):
         matrices = [ad.Tensor(np.ones((2, 3))), ad.Tensor(np.zeros((2, 1)))]
@@ -264,28 +265,21 @@ PRIMITIVE_CASES = {
                           lambda p: ad.row_lookup(p[0], 2)),
     "row_lookup_list": (lambda rng: [_rand(rng, (6, 3))],
                         lambda p: ad.row_lookup(p[0], [1, 4, 1])),
-    "gru_cell": (lambda rng: [_rand(rng, 3), _rand(rng, 4)]
+    # One GRU update (T = 1) of one state, and of a block of 3 states.
+    "gru_cell": (lambda rng: [_rand(rng, (1, 3)), _rand(rng, 4)]
                  + [_rand(rng, (4, n)) for n in (3, 4) * 3],
-                 lambda p: ad.gru_cell(*p)),
+                 lambda p: ad.gru_sequence(*p)),
     "gru_cell_rows": (lambda rng: [_rand(rng, (3, 3)), _rand(rng, (3, 4))]
                       + [_rand(rng, (4, n)) for n in (3, 4) * 3],
-                      lambda p: ad.gru_cell(*p)),
+                      lambda p: ad.gru_sequence(*p)),
     "gru_sequence": (lambda rng: [_rand(rng, (3, 3)), _rand(rng, 4)]
                      + [_rand(rng, (4, n)) for n in (3, 4) * 3],
                      lambda p: ad.gru_sequence(*p)),
     "gru_sequence_block": (lambda rng: [_rand(rng, (6, 3)), _rand(rng, (2, 4))]
                            + [_rand(rng, (4, n)) for n in (3, 4) * 3],
                            lambda p: ad.gru_sequence(*p)),
-    "matmul_block_v": (lambda rng: [_rand(rng, (2, 3, 4)), _rand(rng, 4)],
-                       lambda p: ad.matmul(p[0], p[1])),
     "concat_last_axis": (lambda rng: [_rand(rng, (3, 2)), _rand(rng, (3, 4))],
                          lambda p: ad.concat(p)),
-    "reshape": (lambda rng: [_rand(rng, (3, 4))],
-                lambda p: ad.reshape(p[0], (3, 1, 4))),
-    "linear_log_softmax": (lambda rng: [_rand(rng, 5), _rand(rng, (6, 5))],
-                           lambda p: ad.linear_log_softmax(p[0], p[1])),
-    "linear_log_softmax_rows": (lambda rng: [_rand(rng, (3, 5)), _rand(rng, (6, 5))],
-                                lambda p: ad.linear_log_softmax(p[0], p[1])),
     "tanh": (lambda rng: [_rand(rng, 7)], lambda p: ad.tanh(p[0])),
     "softmax": (lambda rng: [_rand(rng, (3, 6))],
                 lambda p: ad.softmax_lastdim(p[0])),
@@ -300,25 +294,19 @@ PRIMITIVE_CASES = {
 }
 
 
-def _attention(p):
-    """``qg.attention_step`` on tensors; weights and context as one output."""
-    params = types.SimpleNamespace(att_state=p[4], att_history=p[5], att_vector=p[6])
-    return ad.concat(qg.attention_step(p[0], p[1], p[2], p[3], params))
+def _one_step(p):
+    """``gru_sequence`` at T = 1; a row call's input and state vectors give
+    its state vector."""
+    if p[0].values.ndim == 2:
+        return ad.gru_sequence(*p)
+    return gru_update(ad.concat([p[0]], axis="rows"), *p[1:])
 
 
 # Each row form: inputs with B = 3 rows, the op, and the inputs whose
 # leading axis is the row axis (the rest are shared by every row).
 ROW_FORMS = {
-    "gru_cell": (PRIMITIVE_CASES["gru_cell_rows"][0], lambda p: ad.gru_cell(*p), (0, 1)),
-    "matmul_block_v": (lambda rng: [_rand(rng, (3, 2, 4)), _rand(rng, 4)],
-                       lambda p: ad.matmul(p[0], p[1]), (0,)),
+    "gru_cell": (PRIMITIVE_CASES["gru_cell_rows"][0], _one_step, (0, 1)),
     "concat_last_axis": (PRIMITIVE_CASES["concat_last_axis"][0], ad.concat, (0, 1)),
-    "linear_log_softmax": (PRIMITIVE_CASES["linear_log_softmax_rows"][0],
-                           lambda p: ad.linear_log_softmax(p[0], p[1]), (0,)),
-    "attention_step": (lambda rng: [_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, (5, 2)),
-                                    _rand(rng, (3, 4)), _rand(rng, (4, 2)), _rand(rng, (4, 2)),
-                                    _rand(rng, 2)],
-                       _attention, (0, 3)),
 }
 
 
@@ -415,19 +403,22 @@ def _complex_step_grads(inputs, probe, step=1e-30):
 
 
 class TestGRUCell:
-    """The fused cell against the composed numpy reference, gates saturated
-    or not: forward to 1e-12, every input gradient to 1e-10."""
+    """One GRU update, ``gru_sequence`` at T = 1, against the composed numpy
+    reference, gates saturated or not: forward to 1e-12, every input
+    gradient to 1e-10."""
 
     @staticmethod
     def _check(inputs):
         x, h, W_z, U_z, W_r, U_r = inputs[:6]
         probe = np.linspace(-1.0, 1.5, h.size)
-        tensors = [ad.Tensor(v) for v in inputs]
+        tensors = [ad.Tensor(x[None])] + [ad.Tensor(v) for v in inputs[1:]]
         with ad.ComputationRecord():
-            out = ad.gru_cell(*tensors)
+            out = ad.gru_sequence(*tensors)
             loss = ad.reduce_sum(ad.elementwise_mul(out, ad.Tensor(probe)))
-        np.testing.assert_allclose(out.values, _reference_gru(*inputs), rtol=1e-12, atol=1e-12)
-        for got, want in zip(ad.backward(loss, tensors), _complex_step_grads(inputs, probe)):
+        np.testing.assert_allclose(out.values[0], _reference_gru(*inputs), rtol=1e-12,
+                                   atol=1e-12)
+        d_x, *grads = ad.backward(loss, tensors)
+        for got, want in zip([d_x[0]] + grads, _complex_step_grads(inputs, probe)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
         return max(np.abs(W_z @ x + U_z @ h).max(), np.abs(W_r @ x + U_r @ h).max())
 
@@ -446,33 +437,36 @@ class TestGRUCell:
 
     @pytest.mark.parametrize("B, n_in, n_h", [(10, 100, 50), (5, 100, 128), (4, 20, 12)])
     def test_rows_equal_vector_calls_exactly(self, B, n_in, n_h):
-        """Each row of a row-form forward is the vector call on that row,
-        bit for bit, a repeated row included."""
+        """Each row of a B-state update is the one-state update of that row,
+        bit for bit, a repeated row included; ``qa.gru_step``, decoding's
+        update on arrays, gives the same block."""
         rng = np.random.default_rng(B * n_in + n_h)
         x, h = rng.normal(size=(B, n_in)), rng.normal(size=(B, n_h))
         x[-1], h[-1] = x[0], h[0]
         weights = [_rand(rng, (n_h, n), 0.3) for n in (n_in, n_h) * 3]
-        block = ad.gru_cell(ad.Tensor(x), ad.Tensor(h), *weights).values
+        block = ad.gru_sequence(ad.Tensor(x), ad.Tensor(h), *weights).values
         for b in range(B):
-            row = ad.gru_cell(ad.Tensor(x[b]), ad.Tensor(h[b]), *weights).values
-            np.testing.assert_array_equal(block[b], row)
+            row = ad.gru_sequence(ad.Tensor(x[b:b + 1]), ad.Tensor(h[b]), *weights).values
+            np.testing.assert_array_equal(block[b], row[0])
+        np.testing.assert_array_equal(gru_step(GRUCellParams(*weights), x, h), block)
 
     def test_zero_weights_halve_the_state(self):
         h = ad.Tensor([0.4, -2.0])
         weights = [ad.zeros((2, n)) for n in (3, 2) * 3]
         with ad.ComputationRecord():
-            out = ad.gru_cell(ad.Tensor([1.0, 2.0, 3.0]), h, *weights)
+            out = ad.gru_sequence(ad.Tensor([[1.0, 2.0, 3.0]]), h, *weights)
             loss = ad.reduce_sum(out)
-        np.testing.assert_array_equal(out.values, [0.2, -1.0])
+        np.testing.assert_array_equal(out.values, [[0.2, -1.0]])
         np.testing.assert_array_equal(ad.backward(loss, [h])[0], [0.5, 0.5])
 
 
 def _gru_chain(X, h0, *weights):
-    """The per-token reference of ``gru_sequence``: one ``gru_cell`` per
-    row of ``X``, the states stacked as rows."""
+    """The per-token reference of ``gru_sequence``: one T = 1 call per row
+    of ``X``, each from the state the last one left, the states stacked as
+    rows."""
     states, h = [], h0
     for t in range(X.shape[0]):
-        h = ad.gru_cell(ad.row_lookup(X, t), h, *weights)
+        h = gru_update(ad.row_lookup(X, [t]), h, *weights)
         states.append(h)
     return ad.concat(states, axis="rows")
 
@@ -489,7 +483,7 @@ def _probed(op, inputs, probes):
 
 class TestGRUSequence:
     """One node for a whole GRU pass: its rows equal the per-token
-    ``gru_cell`` chain bit for bit, and the gradients of all eight inputs
+    chain of T = 1 calls bit for bit, and the gradients of all eight inputs
     equal the chain's to 1e-12, with one and with two channels."""
 
     @staticmethod
@@ -615,13 +609,11 @@ class TestGradCheck:
         cell = GRUCellParams(*(glorot_uniform(rng, shape) for shape in [(8, 4), (8, 8)] * 3))
         tokens = [_rand(rng, 4) for _ in range(3)]
         probe = ad.Tensor(rng.normal(size=8))
-        params = [cell.W_z, cell.U_z, cell.W_r, cell.U_r, cell.W_h, cell.U_h] + tokens
+        params = list(cell.weights) + tokens
 
         def build(params):
-            h = ad.zeros(8)
-            for x in tokens:
-                h = gru_step(cell, x, h)
-            return ad.reduce_sum(ad.elementwise_mul(h, probe))
+            states = _gru_chain(ad.concat(tokens, axis="rows"), ad.zeros(8), *cell.weights)
+            return ad.reduce_sum(ad.elementwise_mul(ad.row_lookup(states, 2), probe))
 
         assert grad_check(build, params, epsilon=1e-5) < 1e-4
 

@@ -240,17 +240,16 @@ class TestRankCandidates:
     def test_gru_steps_scale_with_the_longest_candidate(self, models, monkeypatch):
         """All candidates are encoded together: a per-candidate encoder
         would step the GRU once per token of every candidate."""
-        calls = {"gru_cell": [], "gru_sequence": []}
-        for kind, log in calls.items():
-            primitive = getattr(ad, kind)
-            monkeypatch.setattr(ad, kind, lambda *args, log=log, primitive=primitive:
-                                log.append(args[0].shape[0]) or primitive(*args))
+        calls = []
+        primitive = ad.gru_sequence
+        monkeypatch.setattr(ad, "gru_sequence",
+                            lambda *args: calls.append(args[0].shape[0]) or primitive(*args))
         candidates = [[5, 6, 7], [8], [9, 10], [5, 6, 7], [11, 12, 13, 14]]
         qa.candidate_scores(Q_IDS, candidates, models[0], [0] * len(candidates))
         # Each direction of the question, then of the candidate block, is one
         # gru_sequence; the block steps as often as the longest candidate.
         block_rows = len(candidates) * max(map(len, candidates))
-        assert calls == {"gru_cell": [], "gru_sequence": [len(Q_IDS)] * 2 + [block_rows] * 2}
+        assert calls == [len(Q_IDS)] * 2 + [block_rows] * 2
 
     def test_empty_candidates_rejected(self, models):
         for candidates in ([], [[5], [], [6, 7]]):
@@ -260,7 +259,7 @@ class TestRankCandidates:
 
 class TestEncoderEqualsPerTokenChain:
     """Each direction of the encoder is one ``gru_sequence``; its encodings
-    equal the per-token ``gru_step`` chain's bit for bit."""
+    equal the per-token chain of T = 1 calls bit for bit."""
 
     @pytest.mark.parametrize("dims", [TOY_DIMS, MID_DIMS], ids=["toy", "mid"])
     def test_encode_bigru(self, dims):

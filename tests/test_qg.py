@@ -15,8 +15,8 @@ from dualqa import autodiff as ad
 from dualqa import qa, qg, text, trainer
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import (MID_DIMS, TINY_VOCAB, TOY_DIMS, argmax_decode, grad_check, keys,
-                     make_small_trainer, make_tiny_models, model_tensors, per_beam_search,
+from helpers import (MID_DIMS, TINY_VOCAB, TOY_DIMS, argmax_decode, decode_inputs, grad_check,
+                     keys, make_small_trainer, make_tiny_models, model_tensors, per_beam_search,
                      per_token_encode_answer, per_token_sequence_log_prob, small_corpus,
                      toy_dual_objectives, zero_all)
 
@@ -49,17 +49,22 @@ def models_for(case):
 
 
 def per_token_log_prob(q_ids, a_ids, qg_params):
-    """log P(q | a) composed from ``decode_step`` as inference scores it:
-    one output projection, log-softmax and target lookup per token."""
-    H, state = qg.encode_answer(a_ids, qg_params)
-    k = keys(H, qg_params)
-    history, prev, total = ad.zeros(H.shape[1]), text.SOS_ID, None
+    """log P(q | a) composed from one-row ``decode_step`` calls as inference
+    scores it: one output projection, log-softmax and target lookup per
+    token, summed in token order."""
+    H, s0, k = decode_inputs(a_ids, qg_params)
+    state, history, prev, total = s0[None], np.zeros((1, H.shape[1])), text.SOS_ID, 0.0
     for target in q_ids + [EOS_ID]:
-        log_probs, state, _, history = qg.decode_step(prev, state, H, k, history, qg_params)
-        step = ad.row_lookup(log_probs, target)
-        total = step if total is None else ad.add(total, step)
+        log_probs, state, _, history = qg.decode_step([prev], state, H, k, history, qg_params)
+        total += log_probs[0, target]
         prev = target
     return total
+
+
+def one_step(prev, a_ids, qg_params):
+    """The outputs of the first one-row ``decode_step`` after ``prev``, and H."""
+    H, s0, k = decode_inputs(a_ids, qg_params)
+    return qg.decode_step([prev], s0[None], H, k, np.zeros((1, H.shape[1])), qg_params), H
 
 
 class TestEncodeAnswer:
@@ -124,32 +129,26 @@ class TestAttention:
 class TestDecodeStep:
     def test_distribution_over_question_vocab(self, models):
         _, qg_params = models
-        H, s0 = qg.encode_answer(A_IDS, qg_params)
-        log_probs, state, alpha, context = qg.decode_step(
-            2, s0, H, keys(H, qg_params), ad.zeros(H.shape[1]), qg_params)
-        dist = np.exp(log_probs.values)
-        assert dist.shape == (qg_params.output_projection.shape[0],)
+        (log_probs, state, alpha, context), H = one_step(2, A_IDS, qg_params)
+        dist = np.exp(log_probs)
+        assert dist.shape == (1, qg_params.output_projection.shape[0])
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist >= 0)
-        assert state.shape == s0.shape
-        assert alpha.shape == (len(A_IDS),)
-        np.testing.assert_allclose(context.values, alpha.values @ H.values, atol=1e-12)
+        assert state.shape == (1, H.shape[1])
+        assert alpha.shape == (1, len(A_IDS))
+        np.testing.assert_allclose(context, alpha @ H, atol=1e-12)
 
     def test_zero_projection_gives_uniform(self):
         _, qg_params = make_tiny_models(seed=0)
         qg_params.output_projection.values[...] = 0.0
-        H, s0 = qg.encode_answer(A_IDS, qg_params)
-        log_probs, _, _, _ = qg.decode_step(2, s0, H, keys(H, qg_params), ad.zeros(H.shape[1]),
-                                            qg_params)
+        (log_probs, _, _, _), _ = one_step(2, A_IDS, qg_params)
         vocab = qg_params.output_projection.shape[0]
-        np.testing.assert_allclose(np.exp(log_probs.values), np.full(vocab, 1.0 / vocab),
+        np.testing.assert_allclose(np.exp(log_probs), np.full((1, vocab), 1.0 / vocab),
                                    atol=1e-15)
 
     def test_invalid_token_rejected(self, models):
-        _, qg_params = models
-        H, s0 = qg.encode_answer(A_IDS, qg_params)
-        with pytest.raises(IndexError, match="out of range"):
-            qg.decode_step(10_000, s0, H, keys(H, qg_params), ad.zeros(H.shape[1]), qg_params)
+        with pytest.raises(IndexError, match="out of bounds"):
+            one_step(10_000, A_IDS, models[1])
 
 
 class TestSequenceLogProb:
@@ -184,13 +183,14 @@ class TestSequenceLogProb:
         expected = 0.0
         with ad.no_recording():
             H, state = qg.encode_answer(a_ids, qg_params)
-            history, prev = ad.zeros(H.shape[1]), text.SOS_ID
+            state, history, prev = state.values[None], ad.zeros(H.shape[1]), text.SOS_ID
             for target in q_ids + [EOS_ID]:
-                state = qa.gru_step(qg_params.decoder, ad.row_lookup(
-                    qg_params.question_embeddings, prev), state)
-                _, history = qg.attention_step(state, H, keys(H, qg_params), history, qg_params)
+                state = qa.gru_step(qg_params.decoder,
+                                    qg_params.question_embeddings.values[[prev]], state)
+                _, history = qg.attention_step(ad.Tensor(state[0]), H, keys(H, qg_params),
+                                               history, qg_params)
                 logits = qg_params.output_projection.values @ np.concatenate(
-                    [state.values, history.values])
+                    [state[0], history.values])
                 shift = logits.max()
                 expected += logits[target] - shift - math.log(np.exp(logits - shift).sum())
                 prev = target
@@ -226,8 +226,9 @@ class TestSequenceLogProb:
 
 
 class TestTeacherForcingMatchesPerTokenDecoding:
-    """Training scores a question with one fused output node; inference
-    projects one step at a time.  Both must give the same model."""
+    """Training scores a question on the tape with one fused output node;
+    inference projects one step at a time on arrays.  Both must give the
+    same model."""
 
     CASES = [0, 1, 2, 3, 4, "sharpened"]
     PAIRS = [(Q_IDS, A_IDS), ([4, 5, 6], [6, 7]), ([9, 9, 3, 12], [5])]
@@ -238,7 +239,7 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         with ad.no_recording():
             for q_ids, a_ids in self.PAIRS:
                 got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
-                want = per_token_log_prob(q_ids, a_ids, qg_params).item()
+                want = per_token_log_prob(q_ids, a_ids, qg_params)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("case", CASES)
@@ -247,7 +248,7 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         params = model_tensors(models, "qg")
         for q_ids, a_ids in self.PAIRS:
             grads = []
-            for score in (qg.sequence_log_prob, per_token_log_prob):
+            for score in (qg.sequence_log_prob, per_token_sequence_log_prob):
                 with ad.ComputationRecord():
                     loss = score(q_ids, a_ids, models[1])
                 grads.append(ad.backward(loss, params))
@@ -279,8 +280,8 @@ class TestTeacherForcingMatchesPerTokenDecoding:
 
 class TestSequenceGRUEqualsPerTokenChain:
     """The encoder directions and the teacher-forced decoder are one
-    ``gru_sequence`` each; the forward equals the per-token ``gru_step``
-    chain's bit for bit."""
+    ``gru_sequence`` each; the forward equals the per-token chain of
+    T = 1 calls bit for bit."""
 
     DRAWS = [(1, 1), (7, 4), (25, 14)]  # (answer length, question length)
 
@@ -349,7 +350,7 @@ class TestSequenceGRUEqualsPerTokenChain:
         with ad.ComputationRecord() as rec:
             qg.sequence_log_prob(Q_IDS, A_IDS, models[1])
         kinds = collections.Counter(node.kind for node in rec.nodes)
-        assert kinds["gru_sequence"] == 3 and not kinds["gru_cell"]
+        assert kinds["gru_sequence"] == 3
 
 
 class TestBeamSearch:
@@ -407,7 +408,10 @@ class TestBeamSearch:
     def test_hypotheses_sorted_and_terminated(self, models):
         _, qg_params = models
         max_len = 9
-        hyps = qg.beam_search(A_IDS, 4, max_len, qg_params)
+        # Decoding records nothing, even inside an active record.
+        with ad.ComputationRecord() as rec:
+            hyps = qg.beam_search(A_IDS, 4, max_len, qg_params)
+        assert rec.nodes == []
         assert len(hyps) == 4
         for a, b in zip(hyps, hyps[1:]):
             assert a.log_prob >= b.log_prob
