@@ -16,12 +16,16 @@ gradient to (k, *input) contributions.
 every GRU pass of training and ranking is one of its blocks.  Decoding
 runs on plain arrays through the forward helpers the primitives share:
 ``_gru_run`` (the GRU recurrence), ``_softmax`` and ``_log_softmax``.
-``reduce_sum`` is test support: no code here calls it, and the tests
-build scalar losses with it.
-Desk-scale on purpose: float64 everywhere, three fused primitives (B
-whole GRU passes ``gru_sequence``, the max-shifted ``log_softmax``, and
-``target_log_prob``, a whole sequence's output layer and target
-log-probabilities in one node), no sparse storage, no higher-order
+A training step's loss layer works on batch blocks whose rows equal the
+per-pair computations bit for bit: ``matmul_rows`` is ``matmul``'s
+matrix-vector product on each row of a block, ``log_share`` and
+``target_log_prob`` reduce each segment of their input over its own
+length, and ``reduce_sum`` folds in index order.
+Desk-scale on purpose: float64 everywhere, four fused primitives (B
+whole GRU passes ``gru_sequence``; the max-shifted ``log_softmax``;
+``log_share``, the log softmax share of each segment's first entry; and
+``target_log_prob``, the output layer and target log-probabilities of B
+whole sequences in one node), no sparse storage, no higher-order
 derivatives.
 """
 
@@ -38,12 +42,14 @@ __all__ = [
     "add",
     "elementwise_mul",
     "matmul",
+    "matmul_rows",
     "concat",
     "row_lookup",
     "gru_sequence",
     "tanh",
     "softmax_lastdim",
     "log_softmax",
+    "log_share",
     "target_log_prob",
     "square",
     "reduce_sum",
@@ -249,17 +255,19 @@ def concat(parts, axis=0) -> Tensor:
                  lambda g: [g[..., i:j] for i, j in zip(ends, ends[1:])])
 
 
-def row_lookup(table: Tensor, indices) -> Tensor:
+def row_lookup(table: Tensor, indices, column=None) -> Tensor:
     """Select rows of ``table``.  An int index returns a single row; a
-    sequence returns one row per entry."""
+    sequence returns one row per entry.  With a ``column``, each selected
+    row's entry in that column of the matrix ``table`` instead."""
     single = isinstance(indices, (int, np.integer))
     rows = int(indices) if single else [int(i) for i in indices]
     n = table.shape[0]
     for i in [rows] if single else rows:
         if not 0 <= i < n:
             raise IndexError(f"row_lookup: index {i} out of range for table with {n} rows")
-    return _emit("row_lookup", (table,), np.array(table.values[rows], dtype=np.float64),
-                 lambda g: (((slice(None), rows), g),))
+    index = (rows,) if column is None else (rows, int(column))
+    return _emit("row_lookup", (table,), np.array(table.values[index], dtype=np.float64),
+                 lambda g: (((slice(None),) + index, g),))
 
 
 def _gru_pre_grads(g, z, r, c, h, U_z, U_r, U_h):
@@ -276,6 +284,17 @@ def _rows_mv(W, v):
     """``W @ v[b]`` bit for bit for each row b, as one stacked product; a GEMM
     (W @ v.T) rounds differently from W @ v, even between two equal rows."""
     return np.matmul(W, v[:, :, None])[:, :, 0]
+
+
+def matmul_rows(W: Tensor, X: Tensor) -> Tensor:
+    """The (N, m) block whose row n is ``matmul(W, X[n])`` bit for bit, for
+    an (m, F) matrix ``W`` and an (N, F) block ``X`` (``_rows_mv``); the
+    gradient of ``W`` is one product over all rows."""
+    wv, xv = W.values, X.values
+    if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[1]:
+        raise ValueError(f"matmul_rows: incompatible shapes {wv.shape} and {xv.shape}")
+    return _emit("matmul_rows", (W, X), _rows_mv(wv, xv),
+                 lambda g: (g.swapaxes(1, 2) @ xv, g @ wv))
 
 
 def _gru_run(X, h0, W_z, U_z, W_r, U_r, W_h, U_h):
@@ -366,6 +385,21 @@ def softmax_lastdim(x: Tensor) -> Tensor:
                  lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
+def _segments(lengths, total, kind):
+    """Start and end of each consecutive segment of the given lengths, which
+    must cover ``total`` entries; one segment of all of them for None."""
+    ends = np.cumsum([total] if lengths is None else lengths)
+    if ends.size == 0 or ends[-1] != total or np.any(np.diff(ends, prepend=0) < 1):
+        raise ValueError(f"{kind}: segment lengths {lengths} do not cover {total} entries")
+    return np.concatenate([[0], ends[:-1]]), ends
+
+
+def _fold(values):
+    """Sum in index order, ``((v0 + v1) + v2) + ...``: the order of a
+    running total, which numpy's pairwise ``sum`` departs from at 8 terms."""
+    return np.add.accumulate(values)[-1]
+
+
 def log_softmax(x: Tensor) -> Tensor:
     """log(softmax(x)) over the last axis, finite wherever ``x`` is."""
     y = _log_softmax(x.values)
@@ -373,15 +407,43 @@ def log_softmax(x: Tensor) -> Tensor:
                  lambda g: (g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
 
 
-def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
-    """Sum over the rows x_t of ``X`` of log(softmax(W x_t))[targets[t]]:
-    one product ``X @ W.T``, one max-shifted log-softmax per row and one
-    gather, so the gradient of ``W`` is one product rather than one outer
-    product per row."""
+def log_share(x: Tensor, lengths=None) -> Tensor:
+    """log(softmax(s))[0], the log of the first entry's softmax share, for
+    each consecutive segment s of the vector ``x`` with the given
+    ``lengths``: a vector with one entry per segment, each computed over
+    its own segment alone, so that it equals ``log_softmax`` of that
+    segment bit for bit (padding the segments to one length would change
+    numpy's pairwise sum from 8 terms on).  Without ``lengths``, the share
+    of the whole vector as a scalar."""
+    v = x.values
+    if v.ndim != 1:
+        raise ValueError(f"log_share: needs a vector, got shape {v.shape}")
+    starts, ends = _segments(lengths, v.size, "log_share")
+    y = np.concatenate([_log_softmax(v[s:e]) for s, e in zip(starts, ends)])
+    hot = np.zeros(v.size)
+    hot[starts] = 1.0
+    sizes = ends - starts
+
+    def vjp(g):
+        g = g.reshape(g.shape[0], sizes.size)
+        return (np.repeat(g, sizes, axis=1) * (hot - np.exp(y)),)
+    out = y[starts]
+    return _emit("log_share", (x,), out if lengths is not None else out[0], vjp)
+
+
+def target_log_prob(X: Tensor, W: Tensor, targets, lengths=None) -> Tensor:
+    """Sum over the rows x_t of ``X`` of log(softmax(W x_t))[targets[t]],
+    for each consecutive segment of rows with the given ``lengths``: a
+    vector with one sum per segment, or without ``lengths`` the sum over
+    all rows as a scalar.  Each segment's logits are one product of its
+    rows with ``W.T`` (a product over all rows rounds differently), then
+    one max-shifted log-softmax per row and one gather; the gradients of
+    ``X`` and of ``W`` are one product each over all rows."""
     xv, wv = X.values, W.values
     if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
         raise ValueError(f"target_log_prob: incompatible shapes {xv.shape} and {wv.shape}")
-    y = _log_softmax(xv @ wv.T)
+    starts, ends = _segments(lengths, xv.shape[0], "target_log_prob")
+    y = np.concatenate([_log_softmax(xv[s:e] @ wv.T) for s, e in zip(starts, ends)])
     cols = np.array([int(t) for t in targets], dtype=np.intp)
     if cols.shape != (xv.shape[0],):
         raise ValueError(f"target_log_prob: {cols.size} targets for {xv.shape[0]} rows")
@@ -390,20 +452,20 @@ def target_log_prob(X: Tensor, W: Tensor, targets) -> Tensor:
     if bad.size:
         raise IndexError(f"target_log_prob: target {bad[0]} out of range for {n} classes")
     rows = np.arange(cols.size)
+    sizes = ends - starts
 
     def vjp(g):
-        # G = g * (onehot(targets) - softmax) per channel; then dX = G W and
-        # dW = G^T X, one GEMM per channel.
+        # G = g * (onehot(targets) - softmax), each row scaled by its
+        # segment's channel gradients; then dX = G W and dW = G^T X.
         G = -np.exp(y)
         G[rows, cols] += 1.0
-        G = g[:, None, None] * G
+        G = np.repeat(g.reshape(g.shape[0], sizes.size), sizes, axis=1)[:, :, None] * G
         return G @ wv, G.swapaxes(1, 2) @ xv
     # Summed in token order, the order in which decoding accumulates a
     # hypothesis's score, so that the two agree whenever the terms do.
-    total = 0.0
-    for term in y[rows, cols].tolist():
-        total += term
-    return _emit("target_log_prob", (X, W), np.asarray(total), vjp)
+    picked = y[rows, cols]
+    totals = np.array([_fold(picked[s:e]) for s, e in zip(starts, ends)])
+    return _emit("target_log_prob", (X, W), totals if lengths is not None else totals[0], vjp)
 
 
 def square(x: Tensor) -> Tensor:
@@ -412,8 +474,11 @@ def square(x: Tensor) -> Tensor:
 
 
 def reduce_sum(x: Tensor) -> Tensor:
+    """The sum of every entry in index order (``_fold``), so that a batch's
+    vector of terms sums as a running total of one node per term would."""
     expand = (-1,) + (1,) * x.values.ndim
-    return _emit("sum", (x,), np.asarray(x.values.sum()), lambda g: (g.reshape(expand),))
+    return _emit("sum", (x,), np.asarray(_fold(x.values.reshape(-1))),
+                 lambda g: (g.reshape(expand),))
 
 
 def scalar_scale(x: Tensor, factor: float) -> Tensor:

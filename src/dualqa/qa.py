@@ -5,6 +5,11 @@ represented as [v_q; v_a; v_q*v_a; cooc_embedding] and fed to a 2-class
 linear head.  The ranking scalar is tanh of the positive-class
 pre-activation, so ranking, the NLL loss, and the derived conditional
 log P(answer | question) all share one score.
+
+The head has one implementation, ``pair_logits``, over a block of pairs
+whose rows equal the single pair's computation bit for bit: a training
+step runs every pair of its batch through it at once, ranking every
+candidate of a question, and the per-pair functions are its B = 1 case.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ __all__ = [
     "bigru_states",
     "encode_bigru",
     "qa_score",
+    "pair_logits",
+    "pair_scores",
     "qa_logits_from_vectors",
     "qa_score_from_vectors",
     "qa_nll_loss_from_vectors",
@@ -148,19 +155,34 @@ def encode_bigru(ids: list[int] | list[list[int]], side: str, params: QAParams) 
     return ad.concat([ad.row_lookup(fwd_states, rows), ad.row_lookup(bwd_states, rows)])
 
 
+def pair_logits(V_q: ad.Tensor, V_a: ad.Tensor, cooc_counts, params: QAParams) -> ad.Tensor:
+    """Two-class pre-activations [negative, positive] of N pairs, from
+    (N, 2h) blocks of their question and answer encodings and their N
+    co-occurrence counts: one (N, F) feature block times ``output_weights``
+    by rows (``matmul_rows``) plus the bias, so row n equals the pair's
+    ``qa_logits_from_vectors`` bit for bit."""
+    max_row = params.cooc_table.shape[0] - 1
+    feature = ad.concat([
+        V_q,
+        V_a,
+        ad.elementwise_mul(V_q, V_a),
+        ad.row_lookup(params.cooc_table, [min(int(c), max_row) for c in cooc_counts]),
+    ])
+    return ad.add(ad.matmul_rows(params.output_weights, feature), params.output_bias)
+
+
+def pair_scores(logits: ad.Tensor, rows) -> ad.Tensor:
+    """Ranking scalars of the given rows of a ``pair_logits`` block: tanh of
+    each one's positive-class pre-activation."""
+    return ad.tanh(ad.row_lookup(logits, rows, column=1))
+
+
 def qa_logits_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, cooc_count: int,
                            params: QAParams) -> ad.Tensor:
-    """Two-class pre-activations [negative, positive] from precomputed
-    question/answer encodings; lets a batch reuse encodings."""
-    max_row = params.cooc_table.shape[0] - 1
-    cooc_count = min(int(cooc_count), max_row)
-    feature = ad.concat([
-        v_q,
-        v_a,
-        ad.elementwise_mul(v_q, v_a),
-        ad.row_lookup(params.cooc_table, cooc_count),
-    ])
-    return ad.add(ad.matmul(params.output_weights, feature), params.output_bias)
+    """Two-class pre-activations [negative, positive] of one pair from its
+    question and answer encodings: the B = 1 case of ``pair_logits``."""
+    V_q, V_a = (ad.concat([v], axis="rows") for v in (v_q, v_a))
+    return ad.row_lookup(pair_logits(V_q, V_a, [cooc_count], params), 0)
 
 
 def qa_score_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, cooc_count: int,
@@ -178,8 +200,9 @@ def qa_nll_loss_from_vectors(v_q: ad.Tensor, v_a: ad.Tensor, label: int,
 
 
 def log_conditional_from_scores(scores: list[ad.Tensor]) -> ad.Tensor:
-    """Log of the first score's softmax share among all given size-1 scores."""
-    return ad.row_lookup(ad.log_softmax(ad.concat(scores)), 0)
+    """Log of the first score's softmax share among all given size-1
+    scores: the B = 1 case of ``log_share``."""
+    return ad.log_share(ad.concat(scores))
 
 
 def qa_score(q_ids: list[int], a_ids: list[int], params: QAParams,
@@ -194,18 +217,18 @@ def qa_score(q_ids: list[int], a_ids: list[int], params: QAParams,
 def candidate_scores(q_ids: list[int], candidates: list[list[int]], params: QAParams,
                      cooc_counts: list[int]) -> list[float]:
     """Inference-time score of every candidate answer for one question:
-    the question is encoded once, and all candidates as one (B, 2h) block
-    whose rows are their vector encodings bit for bit, so each score equals
-    ``qa_score`` of its pair exactly and equal candidates tie exactly."""
+    the question is encoded once, all candidates as one (B, 2h) block whose
+    rows are their vector encodings bit for bit, and the B pairs go through
+    ``pair_logits`` as one block, so each score equals ``qa_score`` of its
+    pair exactly and equal candidates tie exactly."""
     if not candidates:
         raise ValueError("candidate_scores: empty candidate list")
+    B = len(candidates)
     with ad.no_recording():
-        v_q = encode_bigru(q_ids, "question", params)
+        v_q = encode_bigru([q_ids], "question", params)
         V = encode_bigru(candidates, "answer", params)
-        return [
-            qa_score_from_vectors(v_q, ad.row_lookup(V, b), cc, params).item()
-            for b, cc in zip(range(len(candidates)), cooc_counts)
-        ]
+        logits = pair_logits(ad.row_lookup(v_q, [0] * B), V, cooc_counts, params)
+        return pair_scores(logits, range(B)).values.tolist()
 
 
 def rank_candidates(q_ids: list[int], candidates: list[list[int]], params: QAParams,

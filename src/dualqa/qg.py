@@ -110,7 +110,7 @@ def decode_step(prev_ids, state: np.ndarray, H: np.ndarray, keys: np.ndarray,
 
 
 def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | list[list[int]],
-                      params: QGParams):
+                      params: QGParams) -> ad.Tensor:
     """Teacher-forced log P(question | answer), including the EOS step.
 
     The gold previous token, not a prediction, feeds each step, and the
@@ -120,10 +120,11 @@ def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | lis
     every [state; context] row against its target at once.
 
     ``q_ids`` and ``a_ids`` may also be lists of B id lists, B pairs: the
-    result is then the list of their B log-probabilities, each equal to the
-    single pair's bit for bit.  The distinct answers are encoded as one
-    block, and the decoder GRU runs over every question as one block from
-    the rows of the s0 block.
+    result is then the (B,) vector of their log-probabilities, each equal
+    to the single pair's bit for bit.  The distinct answers are encoded as
+    one block, the decoder GRU runs over every question as one block from
+    the rows of the s0 block, and every pair's rows are one segment of the
+    one ``target_log_prob``.
     """
     single = not q_ids or isinstance(q_ids[0], (int, np.integer))
     questions, answers = ([q_ids], [a_ids]) if single else (q_ids, a_ids)
@@ -143,17 +144,17 @@ def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | lis
     S = ad.gru_sequence(
         ad.row_lookup(params.question_embeddings, time_major([[SOS_ID] + t[:-1] for t in targets])),
         ad.row_lookup(s0, index), *params.decoder.weights)
-    log_probs = []
+    state_rows, contexts = [], []
     for b, (tokens, H) in enumerate(zip(targets, (Hs[i] for i in index))):
-        states = ad.row_lookup(S, range(b, len(tokens) * B, B))
         keys = ad.matmul(H, params.att_encoder)
-        contexts = [ad.zeros(H.shape[1])]
+        history = ad.zeros(H.shape[1])
         for t in range(len(tokens)):
-            contexts.append(attention_step(ad.row_lookup(states, t), H, keys, contexts[-1],
-                                           params)[1])
-        rows = ad.concat([states, ad.concat(contexts[1:], axis="rows")])
-        log_probs.append(ad.target_log_prob(rows, params.output_projection, tokens))
-    return log_probs[0] if single else log_probs
+            history = attention_step(ad.row_lookup(S, t * B + b), H, keys, history, params)[1]
+            contexts.append(history)
+        state_rows += range(b, len(tokens) * B, B)
+    rows = ad.concat([ad.row_lookup(S, state_rows), ad.concat(contexts, axis="rows")])
+    return ad.target_log_prob(rows, params.output_projection, [t for q in targets for t in q],
+                              None if single else [len(q) for q in targets])
 
 
 @dataclass

@@ -15,6 +15,7 @@ marginals would push gold answers down the ranking instead.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 
@@ -98,9 +99,15 @@ def generate_corpus(n_subjects: int = 40, seed: int = 97, dev_questions: int = 5
 
 
 def write_tsv(rows, path):
-    with open(path, "w", encoding="utf-8") as f:
+    """Write the rows to ``path`` as tab-separated lines.  An existing file
+    is overwritten in place and then cut to the new length: truncating it on
+    open, as mode ``"w"`` does, can stall for about 100 ms on ext4 mounted
+    with ``discard``, which a set-up that rewrites its corpus pays every
+    time."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
         for qid, pid, question, answer, label in rows:
             f.write(f"{qid}\t{pid}\t{question}\t{answer}\t{label}\n")
+        f.truncate()
 
 
 def main(argv=None) -> int:
@@ -108,8 +115,6 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print("usage: python -m dualqa.toy <output_dir>", file=sys.stderr)
         return 1
-    import os
-
     outdir = argv[0]
     os.makedirs(outdir, exist_ok=True)
     train_rows, dev_rows = generate_corpus()

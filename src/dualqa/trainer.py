@@ -3,10 +3,13 @@
 Each step takes a minibatch of positive pairs plus sampled negatives,
 builds three loss sums on one computation record — the selection
 model's NLL over positives and negatives, the generator's NLL over
-positives, and for each positive a squared gap between the two
-log-factorizations of P(q, a) — and the objectives as one weight matrix
+positives, and the squared gaps between the two log-factorizations of
+P(q, a), one per positive — and the objectives as one weight matrix
 times those sums: the selection row weights the gap by lambda_a, the
-generation row by lambda_q.  One reverse walk gives one gradient channel
+generation row by lambda_q.  Each sum folds a (B,) vector of per-positive
+terms in index order, and every pair the selection model scores in a
+step is a row of one block, so the losses equal those of one node per
+pair and term bit for bit.  One reverse walk gives one gradient channel
 per row; each model's tensors take their own row's channel, the shared
 embeddings the sum of both, and AdaDelta applies the update.  A numpy
 overflow or invalid operation during a step aborts it with a
@@ -202,20 +205,18 @@ def adadelta_update(param: ad.Tensor, grad: np.ndarray, state: AdaDeltaState,
     return param
 
 
-def _as_scalar_tensor(x) -> ad.Tensor:
-    if isinstance(x, ad.Tensor):
-        return x
-    return ad.Tensor(np.asarray(float(x)))
+def _as_tensor(x) -> ad.Tensor:
+    return x if isinstance(x, ad.Tensor) else ad.Tensor(x)
 
 
 def squared_log_gap(log_p_answer, log_q_given_a, log_p_question, log_a_given_q) -> ad.Tensor:
-    """[log P_a(a) + log P(q|a) - log P_q(q) - log P(a|q)]^2.
+    """[log P_a(a) + log P(q|a) - log P_q(q) - log P(a|q)]^2, elementwise.
 
-    Any argument may be a plain float (treated as a constant) or a scalar
-    tensor already on the record.
+    Any argument may be a plain float or a list of floats (constants), or
+    a tensor already on the record; vectors of B terms give the B gaps.
     """
-    lhs = ad.add(_as_scalar_tensor(log_p_answer), _as_scalar_tensor(log_q_given_a))
-    rhs = ad.add(_as_scalar_tensor(log_p_question), _as_scalar_tensor(log_a_given_q))
+    lhs = ad.add(_as_tensor(log_p_answer), _as_tensor(log_q_given_a))
+    rhs = ad.add(_as_tensor(log_p_question), _as_tensor(log_a_given_q))
     return ad.square(ad.add(lhs, ad.scalar_scale(rhs, -1.0)))
 
 
@@ -229,22 +230,19 @@ def contrast_indices(gold_ids: list[int], answers: list[list[int]]) -> list[int]
     return kept
 
 
-def dual_loss(log_p_answer: float, seq_lp: ad.Tensor, log_p_question: float,
-              scores: list[ad.Tensor]) -> ad.Tensor:
-    """Duality regularizer for one positive pair.
+def dual_loss(log_p_answer, seq_lp: ad.Tensor, log_p_question, scores: ad.Tensor,
+              lengths=None) -> ad.Tensor:
+    """Duality regularizer of one positive pair, or of B as a (B,) vector.
 
     ``log_p_answer`` and ``log_p_question`` are the bigram marginals
     (constants), ``seq_lp`` the generator's log P(q|a), and ``scores`` the
-    selection scores of the gold answer first, then of its contrast set;
-    log P(a|q) is the log of the gold score's softmax share.  Gradients
-    flow through ``seq_lp`` and ``scores``.
+    vector of selection scores of the gold answer first, then of its
+    contrast set; log P(a|q) is the log of the gold score's softmax share.
+    For B positives, ``scores`` holds their B such segments end to end and
+    ``lengths`` their lengths.  Gradients flow through ``seq_lp`` and
+    ``scores``.
     """
-    return squared_log_gap(log_p_answer, seq_lp, log_p_question,
-                           qa_mod.log_conditional_from_scores(scores))
-
-
-def _accumulate(total, term):
-    return term if total is None else ad.add(total, term)
+    return squared_log_gap(log_p_answer, seq_lp, log_p_question, ad.log_share(scores, lengths))
 
 
 class DualTrainer:
@@ -295,73 +293,69 @@ class DualTrainer:
         two and a constant zero ``dual_sum``.
 
         The batch's distinct question and answer id lists are encoded as
-        one block per side, and each sequence's vector is a row of its
-        block, so every conditional in the batch reuses the negatives'
-        encodings; gradient accumulation through the shared rows is what
-        makes that sound.  The generator scores every positive in one
-        ``sequence_log_prob`` call.
+        one block per side.  Every pair the selection model scores is a row
+        of one ``pair_logits`` block: the B positives, the B negatives and,
+        with the duality term, each positive's question against its
+        contrast set, the batch's negative answers whose ids differ from its
+        own.  Each positive's gold row is both its NLL row and the first
+        score of its conditional, and each sequence's encoding is a row of
+        its block, shared by every pair that holds it; gradient
+        accumulation through the shared rows is what makes that sound.
+        The generator scores every positive in one ``sequence_log_prob``
+        call.  Each sum is the index-order fold of a (B,) vector.
         """
         record = ad.ComputationRecord()
         dual_lambda_active = use_dual and (self.config.lambda_a > 0 or self.config.lambda_q > 0)
+        B = batch.size
+        pairs = batch.positives + batch.negatives
         phase = "selection loss"
         try:
             with record:
-                encoded = []
-                for pos, neg in zip(batch.positives, batch.negatives):
-                    qp_ids, ap_ids = self._encode(pos)
-                    qn_ids, an_ids = self._encode(neg)
-                    encoded.append((pos, neg, qp_ids, ap_ids, qn_ids, an_ids))
+                questions, answers = (list(ids) for ids in zip(*map(self._encode, pairs)))
+                # Row n of the head scores questions[q_rows[n]] against answers[a_rows[n]].
+                q_rows, a_rows = list(range(2 * B)), list(range(2 * B))
+                coocs = [cooccurrence_count(p.question_tokens, p.answer_tokens) for p in pairs]
+                score_rows, lengths = [], []
+                if dual_lambda_active:
+                    for b, pos in enumerate(batch.positives):
+                        kept = contrast_indices(answers[b], answers[B:])
+                        score_rows += [b] + list(range(len(q_rows), len(q_rows) + len(kept)))
+                        lengths.append(1 + len(kept))
+                        q_rows += [b] * len(kept)
+                        a_rows += [B + j for j in kept]
+                        coocs += [cooccurrence_count(pos.question_tokens,
+                                                     batch.negatives[j].answer_tokens)
+                                  for j in kept]
 
-                def rows(side, seqs):  # each distinct id tuple's row of one block
-                    distinct = list(dict.fromkeys(seqs))
-                    block = qa_mod.encode_bigru(distinct, side, self.qa_params)
-                    return {ids: ad.row_lookup(block, i) for i, ids in enumerate(distinct)}
+                def rows(side, seqs, picks):  # each pick's row of one block of distinct seqs
+                    distinct = {ids: i for i, ids in enumerate(dict.fromkeys(seqs))}
+                    block = qa_mod.encode_bigru(list(distinct), side, self.qa_params)
+                    return ad.row_lookup(block, [distinct[seqs[n]] for n in picks])
 
-                # Every positive's contrast set comes from the batch's negative answers.
-                _, _, qp, ap, qn, contrast_ids = zip(*encoded)
-                v_q, v_a = rows("question", qp + qn), rows("answer", ap + contrast_ids)
+                logits = qa_mod.pair_logits(rows("question", questions, q_rows),
+                                            rows("answer", answers, a_rows), coocs,
+                                            self.qa_params)
+                # -(log P(1 | positive) + log P(0 | negative)) for each positive.
+                log_p = ad.log_softmax(logits)
+                qa_sum = ad.reduce_sum(ad.scalar_scale(ad.add(
+                    ad.row_lookup(log_p, range(B), column=1),
+                    ad.row_lookup(log_p, range(B, 2 * B), column=0)), -1.0))
                 phase = "generation loss"
-                seq_lps = qg_mod.sequence_log_prob(qp, ap, self.qg_params)
-
-                qa_sum = None
-                qg_sum = None
+                seq_lps = qg_mod.sequence_log_prob(questions[:B], answers[:B], self.qg_params)
+                qg_sum = ad.reduce_sum(ad.scalar_scale(seq_lps, -1.0))
                 dual_sum = None
-                for (pos, neg, qp_ids, ap_ids, qn_ids, an_ids), seq_lp in zip(encoded, seq_lps):
-                    cooc_pos = cooccurrence_count(pos.question_tokens, pos.answer_tokens)
-                    cooc_neg = cooccurrence_count(neg.question_tokens, neg.answer_tokens)
-                    phase = "selection loss"
-                    v_q_pos, v_a_pos = v_q[qp_ids], v_a[ap_ids]
-                    qa_sum = _accumulate(qa_sum, ad.add(
-                        qa_mod.qa_nll_loss_from_vectors(
-                            v_q_pos, v_a_pos, 1, cooc_pos, self.qa_params),
-                        qa_mod.qa_nll_loss_from_vectors(
-                            v_q[qn_ids], v_a[an_ids], 0, cooc_neg,
-                            self.qa_params),
-                    ))
-                    phase = "generation loss"
-                    qg_sum = _accumulate(qg_sum, ad.scalar_scale(seq_lp, -1.0))
-                    if dual_lambda_active:
-                        phase = "duality term"
-                        scores = [qa_mod.qa_score_from_vectors(
-                            v_q_pos, v_a_pos, cooc_pos, self.qa_params)]
-                        for j in contrast_indices(ap_ids, contrast_ids):
-                            scores.append(qa_mod.qa_score_from_vectors(
-                                v_q_pos, v_a[contrast_ids[j]],
-                                cooccurrence_count(pos.question_tokens,
-                                                   batch.negatives[j].answer_tokens),
-                                self.qa_params,
-                            ))
-                        dual_sum = _accumulate(dual_sum, dual_loss(
-                            self.lm_a.sentence_log_prob(pos.answer_tokens),
-                            seq_lp,
-                            self.lm_q.sentence_log_prob(pos.question_tokens),
-                            scores,
-                        ))
+                if dual_lambda_active:
+                    phase = "duality term"
+                    dual_sum = ad.reduce_sum(dual_loss(
+                        [self.lm_a.sentence_log_prob(p.answer_tokens) for p in batch.positives],
+                        seq_lps,
+                        [self.lm_q.sentence_log_prob(p.question_tokens) for p in batch.positives],
+                        qa_mod.pair_scores(logits, score_rows), lengths))
 
                 phase = "objectives"
                 # lambda * (1.0 / m), in that order, rounds each gradient as
                 # (sum + lambda * dual_sum) / m does, bit for bit.
-                s, cfg = 1.0 / batch.size, self.config
+                s, cfg = 1.0 / B, self.config
                 if dual_sum is None:
                     dual_sum = ad.zeros(())
                     sums, weights = [qa_sum, qg_sum], [[s, s]]

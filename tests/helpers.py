@@ -1,14 +1,14 @@
 """Shared builders for the test suite: tiny model instances and a small
 in-memory corpus, sized so full finite-difference checks stay fast; the
-finite-difference gradient check; and reference encoders and decoders
-that the program's are compared with."""
+finite-difference gradient check; and reference encoders, decoders and a
+per-positive loss layer that the program's are compared with."""
 
 from collections import Counter
 
 import numpy as np
 
 from dualqa import autodiff as ad
-from dualqa import bigram, qg, text, toy, trainer
+from dualqa import bigram, qa, qg, text, toy, trainer
 
 TINY_DIMS = trainer.ModelDims(
     embedding_dim=6, qa_hidden=8, qg_hidden=8, attention_dim=5,
@@ -110,6 +110,68 @@ def toy_dual_objectives(tmp_path):
     qa_sum, qg_sum, dual_sum)``."""
     dual, batch = toy_dual_trainer(tmp_path)
     return dual._batch_objectives(batch, use_dual=True)
+
+
+def per_pair_logits(v_q, v_a, cooc_count, qa_params):
+    """The selection head on one pair's encoding vectors: one matrix-vector
+    ``matmul`` with the output weights."""
+    cooc = min(int(cooc_count), qa_params.cooc_table.shape[0] - 1)
+    feature = ad.concat([v_q, v_a, ad.elementwise_mul(v_q, v_a),
+                         ad.row_lookup(qa_params.cooc_table, cooc)])
+    return ad.add(ad.matmul(qa_params.output_weights, feature), qa_params.output_bias)
+
+
+def per_positive_objectives(dual, batch, use_dual):
+    """``(objectives, qa_sum, qg_sum, dual_sum)`` of ``dual._batch_objectives``
+    built one positive at a time, as a running total of one node per term:
+    per-sequence encodings, one ``per_pair_logits`` per scored pair, one
+    log-softmax per loss term and per conditional, one
+    ``sequence_log_prob`` per positive.  The oracle of the batch blocks."""
+    cfg, params = dual.config, dual.qa_params
+    dual_active = use_dual and (cfg.lambda_a > 0 or cfg.lambda_q > 0)
+
+    def ids(pair):
+        return dual.vocab_q.encode(pair.question_tokens), dual.vocab_a.encode(pair.answer_tokens)
+
+    def logits(q_pair, a_pair):
+        (q_ids, _), (_, a_ids) = ids(q_pair), ids(a_pair)
+        return per_pair_logits(qa.encode_bigru(q_ids, "question", params),
+                               qa.encode_bigru(a_ids, "answer", params),
+                               text.cooccurrence_count(q_pair.question_tokens,
+                                                       a_pair.answer_tokens), params)
+
+    def add(total, term):
+        return term if total is None else ad.add(total, term)
+
+    qa_sum = qg_sum = dual_sum = None
+    with ad.ComputationRecord() as record:
+        for pos, neg in zip(batch.positives, batch.negatives):
+            nll_pos, nll_neg = (ad.scalar_scale(ad.row_lookup(ad.log_softmax(logits(p, p)),
+                                                              label), -1.0)
+                                for p, label in ((pos, 1), (neg, 0)))
+            qa_sum = add(qa_sum, ad.add(nll_pos, nll_neg))
+            seq_lp = qg.sequence_log_prob(*ids(pos), dual.qg_params)
+            qg_sum = add(qg_sum, ad.scalar_scale(seq_lp, -1.0))
+            if dual_active:
+                gold = ids(pos)[1]
+                scores = [ad.tanh(ad.row_lookup(logits(pos, a), [1]))
+                          for a in [pos] + [n for n in batch.negatives if ids(n)[1] != gold]]
+                if len(scores) == 1:
+                    raise ValueError("conditional needs a contrast set")
+                log_cond = ad.row_lookup(ad.log_softmax(ad.concat(scores)), 0)
+                dual_sum = add(dual_sum, trainer.squared_log_gap(
+                    dual.lm_a.sentence_log_prob(pos.answer_tokens), seq_lp,
+                    dual.lm_q.sentence_log_prob(pos.question_tokens), log_cond))
+        s = 1.0 / batch.size
+        if dual_sum is None:
+            dual_sum = ad.zeros(())
+            sums, weights = [qa_sum, qg_sum], [[s, s]]
+        else:
+            sums = [qa_sum, qg_sum, dual_sum]
+            weights = [[s, 0.0, cfg.lambda_a * s], [0.0, s, cfg.lambda_q * s]]
+        objectives = ad.matmul(ad.Tensor(weights), ad.concat(sums, axis="rows"))
+    assert objectives._record is record
+    return objectives, qa_sum, qg_sum, dual_sum
 
 
 def gru_update(x, h, *weights):

@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
         ]
         dual = trainer.dual_loss(
             lm_a.sentence_log_prob(a_tokens), qg.sequence_log_prob(q_ids, a_ids, qg_params),
-            lm_q.sentence_log_prob(q_tokens), scores,
+            lm_q.sentence_log_prob(q_tokens), ad.concat(scores),
         )
         return ad.add(loss, ad.scalar_scale(dual, 0.1))
 

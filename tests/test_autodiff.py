@@ -285,10 +285,22 @@ PRIMITIVE_CASES = {
                 lambda p: ad.softmax_lastdim(p[0])),
     "log_softmax": (lambda rng: [_rand(rng, (3, 6))],
                     lambda p: ad.log_softmax(p[0])),
+    # Segments of 2, 9 and 1 entries: the longest past numpy's 8-term
+    # pairwise block.
+    "log_share": (lambda rng: [_rand(rng, 12)], lambda p: ad.log_share(p[0], [2, 9, 1])),
+    "log_share_whole": (lambda rng: [_rand(rng, 5)], lambda p: ad.log_share(p[0])),
     "target_log_prob": (lambda rng: [_rand(rng, (4, 5)), _rand(rng, (6, 5))],
                         lambda p: ad.target_log_prob(p[0], p[1], [2, 0, 2, 5])),
+    "target_log_prob_segments": (lambda rng: [_rand(rng, (6, 5)), _rand(rng, (7, 5))],
+                                 lambda p: ad.target_log_prob(p[0], p[1], [2, 0, 2, 5, 6, 1],
+                                                              [2, 1, 3])),
+    "matmul_rows": (lambda rng: [_rand(rng, (3, 5)), _rand(rng, (4, 5))],
+                    lambda p: ad.matmul_rows(p[0], p[1])),
+    "row_lookup_column": (lambda rng: [_rand(rng, (6, 2))],
+                          lambda p: ad.row_lookup(p[0], [1, 4, 1, 0], column=1)),
     "square": (lambda rng: [_rand(rng, (4, 2))], lambda p: ad.square(p[0])),
     "sum": (lambda rng: [_rand(rng, (3, 3))], lambda p: ad.reduce_sum(p[0])),
+    "sum_of_many": (lambda rng: [_rand(rng, 11)], lambda p: ad.reduce_sum(p[0])),
     "scalar_scale": (lambda rng: [_rand(rng, 5)],
                      lambda p: ad.scalar_scale(p[0], -1.7)),
 }
@@ -307,6 +319,8 @@ def _one_step(p):
 ROW_FORMS = {
     "gru_cell": (PRIMITIVE_CASES["gru_cell_rows"][0], _one_step, (0, 1)),
     "concat_last_axis": (PRIMITIVE_CASES["concat_last_axis"][0], ad.concat, (0, 1)),
+    "matmul_rows": (PRIMITIVE_CASES["matmul_rows"][0],
+                    lambda p: (ad.matmul_rows if p[1].values.ndim == 2 else ad.matmul)(*p), (1,)),
 }
 
 
@@ -575,6 +589,87 @@ class TestGRUSequenceBlock:
         rng = np.random.default_rng(n_h)
         lens = rng.integers(4, 16, size=16)
         _block_check(rng, lens, 100, n_h, 2, copies=[(15, 0), (9, 3)], scale=0.15)
+
+
+def _segment_check(whole_op, whole, parts):
+    """``whole_op`` on the inputs ``whole`` against one call per segment:
+    ``parts`` holds each segment's (op, inputs, rows), ``rows`` the part of
+    each whole input that the segment's input is (``slice(None)`` for an
+    input every segment shares).  Each entry equals its call bit for bit,
+    and the Jacobian of the entries, one channel per entry, equals each
+    call's gradient to 1e-12."""
+    got, jacobians = _probed(whole_op, whole, np.eye(len(parts)))
+    jacobians = [j.reshape((len(parts),) + t.shape) for j, t in zip(jacobians, whole)]
+    want = [np.zeros(j.shape) for j in jacobians]
+    for b, (op, inputs, rows) in enumerate(parts):
+        value, grads = _probed(op, inputs, [np.ones(())])
+        assert got[b] == value
+        for acc, g, r in zip(want, grads, rows):
+            acc[b][r] += g
+    for g, w in zip(jacobians, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+SEGMENT_LENGTHS = st.lists(st.integers(1, 12), min_size=1, max_size=6)
+
+
+class TestSegmentForms:
+    """The loss layer's block primitives equal one call per row or per
+    segment bit for bit, segments of 8 or more terms included, and their
+    gradients equal the calls' to 1e-12."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), SEGMENT_LENGTHS)
+    @example(0, [1, 9, 15, 2])
+    def test_log_share_equals_per_segment_log_softmax(self, seed, lengths):
+        x = np.random.default_rng(seed).normal(size=sum(lengths)) * 3
+        parts = []
+        for n, e in zip(lengths, np.cumsum(lengths)):
+            segment = ad.Tensor(x[e - n:e])
+            # The one-segment call is the first entry of the segment's log_softmax.
+            assert ad.log_share(segment).item() == ad.log_softmax(segment).values[0]
+            parts.append((ad.log_share, [segment], [slice(e - n, e)]))
+        _segment_check(lambda v: ad.log_share(v, lengths), [ad.Tensor(x)], parts)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2**32 - 1), SEGMENT_LENGTHS, st.integers(1, 9), st.integers(2, 12))
+    @example(0, [1, 9, 15, 2], 40, 300)
+    def test_target_log_prob_equals_per_segment_calls(self, seed, lengths, n_in, n_out):
+        rng = np.random.default_rng(seed)
+        X, W = rng.normal(size=(sum(lengths), n_in)), ad.Tensor(rng.normal(size=(n_out, n_in)))
+        targets = rng.integers(0, n_out, size=sum(lengths)).tolist()
+        parts = [(lambda X_b, W_b, t=targets[e - n:e]: ad.target_log_prob(X_b, W_b, t),
+                  [ad.Tensor(X[e - n:e]), W], [slice(e - n, e), slice(None)])
+                 for n, e in zip(lengths, np.cumsum(lengths))]
+        _segment_check(lambda X_, W_: ad.target_log_prob(X_, W_, targets, lengths),
+                       [ad.Tensor(X), W], parts)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.sampled_from([(2, 34), (2, 310), (5, 7)]))
+    def test_matmul_rows_equal_vector_products(self, seed, n, shape):
+        rng = np.random.default_rng(seed)
+        W, X = ad.Tensor(rng.normal(size=shape)), ad.Tensor(rng.normal(size=(n, shape[1])))
+        got = ad.matmul_rows(W, X).values
+        for row, x in zip(got, X.values):
+            assert row.tobytes() == ad.matmul(W, ad.Tensor(x)).values.tobytes()
+
+    @settings(deadline=None, max_examples=50)
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e6, 1e6)))
+    def test_reduce_sum_is_a_running_total(self, values):
+        total = values[0]
+        for v in values[1:]:
+            total = total + v
+        assert ad.reduce_sum(ad.Tensor(values)).item() == total
+
+    def test_segment_lengths_must_cover_the_input(self):
+        x = ad.Tensor(np.zeros(5))
+        for lengths in ([2, 2], [2, 4], [5, 0], []):
+            with pytest.raises(ValueError, match="segment lengths"):
+                ad.log_share(x, lengths)
+        with pytest.raises(ValueError, match="segment lengths"):
+            ad.target_log_prob(ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((4, 2))),
+                               [0, 1, 2], [1, 1])
 
 
 SIGMOID_EDGES = [0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0, 745.0, -745.0]

@@ -270,12 +270,14 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         assert checked
 
     def test_toy_dual_step_records_one_output_node_per_positive(self, tmp_path):
+        # One output node scores every positive of the batch; the QA side's
+        # pair losses are one log-softmax and its 16 conditionals one
+        # log_share.
         record, *_ = toy_dual_objectives(tmp_path)
         kinds = collections.Counter(node.kind for node in record.nodes)
-        assert kinds["target_log_prob"] == 16
-        # Only the QA side's log-softmaxes remain: two pair losses and one
-        # duality conditional per positive.
-        assert kinds["log_softmax"] <= 3 * 16
+        assert kinds["target_log_prob"] == 1
+        assert kinds["log_softmax"] == 1
+        assert kinds["log_share"] == 1
 
 
 class TestSequenceGRUEqualsPerTokenChain:
@@ -305,7 +307,7 @@ class TestSequenceGRUEqualsPerTokenChain:
         scored = []
         fused = ad.target_log_prob
         monkeypatch.setattr(ad, "target_log_prob",
-                            lambda X, W, targets: scored.append(X.values) or fused(X, W, targets))
+                            lambda X, *args: scored.append(X.values) or fused(X, *args))
         with ad.no_recording():
             for qg_params, q_ids, a_ids in self._draws(dims):
                 got = qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
@@ -317,9 +319,9 @@ class TestSequenceGRUEqualsPerTokenChain:
     @pytest.mark.parametrize("dims", [TOY_DIMS, MID_DIMS], ids=["toy", "mid"])
     def test_pairs_as_one_block_equal_single_pairs(self, dims, monkeypatch):
         """B ragged pairs, one answer repeated, in one call: each pair's
-        scored rows and log-probability equal its own call's bit for bit,
-        and the gradients of the summed log-probabilities equal the sum of
-        the single pairs' to 1e-12."""
+        segment of the scored rows and its log-probability equal its own
+        call's bit for bit, and the Jacobian of the (B,) log-probabilities
+        equals the single pairs' gradients to 1e-12."""
         models = trainer.init_models(40, 40, dims, seed=5)
         qg_params, params = models[1], model_tensors(models, "qg")
         draws = list(self._draws(dims))
@@ -328,23 +330,23 @@ class TestSequenceGRUEqualsPerTokenChain:
         scored = []
         fused = ad.target_log_prob
         monkeypatch.setattr(ad, "target_log_prob",
-                            lambda X, W, targets: scored.append(X.values) or fused(X, W, targets))
+                            lambda X, *args: scored.append(X.values) or fused(X, *args))
         with ad.ComputationRecord():
             got = qg.sequence_log_prob(questions, answers, qg_params)
-            loss = got[0]
-            for lp in got[1:]:
-                loss = ad.add(loss, lp)
-        grads = ad.backward(loss, params)
-        block_rows, scored[:] = scored[:], []
-        want_grads = [np.zeros(t.shape) for t in params]
+        assert got.shape == (len(questions),)
+        jacobians = ad.backward(got, params)
+        (block_rows,) = scored
+        start = 0
         for b, (q_ids, a_ids) in enumerate(zip(questions, answers)):
             with ad.ComputationRecord():
                 want = qg.sequence_log_prob(q_ids, a_ids, qg_params)
-            assert got[b].item() == want.item()
-            assert np.array_equal(block_rows[b], scored[-1])
-            want_grads = [acc + g for acc, g in zip(want_grads, ad.backward(want, params))]
-        for g, w in zip(grads, want_grads):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            assert got.values[b] == want.item()
+            end = start + len(q_ids) + 1
+            assert np.array_equal(block_rows[start:end], scored[-1])
+            start = end
+            for jac, g in zip(jacobians, ad.backward(want, params)):
+                np.testing.assert_allclose(jac[b], g, rtol=1e-12, atol=1e-12)
+        assert start == len(block_rows)
 
     def test_records_three_gru_sequence_nodes(self, models):
         with ad.ComputationRecord() as rec:

@@ -15,7 +15,8 @@ from dualqa import bigram, qa, qg, text, trainer
 
 from helpers import (
     SMALL_ROWS, TINY_DIMS, GradientCheckError, grad_check, make_small_trainer, make_tiny_models,
-    per_token_bigram_fit, small_corpus, toy_dual_objectives, toy_dual_trainer, unique_tensors,
+    per_positive_objectives, per_token_bigram_fit, small_corpus, toy_dual_objectives,
+    toy_dual_trainer, unique_tensors,
 )
 
 
@@ -123,8 +124,8 @@ class TestSquaredLogGap:
 
 
 def dual_terms(qa_params, qg_params):
-    """The four inputs the trainer hands ``dual_loss`` for one positive:
-    both bigram marginals, log P(q|a), and the gold score followed by the
+    """The four inputs of ``dual_loss`` for one positive: both bigram
+    marginals, log P(q|a), and the vector of the gold score followed by the
     contrast scores."""
     lm = bigram.BigramLM.fit([["a", "b"], ["b", "c"]])
     q_ids, a_ids = [4, 7], [5, 8]
@@ -134,7 +135,7 @@ def dual_terms(qa_params, qg_params):
         for ids, cc in ((a_ids, 1), ([6, 9], 0), ([10], 0))
     ]
     return (lm.sentence_log_prob(["b", "c"]), qg.sequence_log_prob(q_ids, a_ids, qg_params),
-            lm.sentence_log_prob(["a", "b"]), scores)
+            lm.sentence_log_prob(["a", "b"]), ad.concat(scores))
 
 
 class TestDualLoss:
@@ -146,7 +147,7 @@ class TestDualLoss:
     def test_matches_gap_of_softmax_share(self):
         qa_params, qg_params = make_tiny_models(seed=4)
         log_p_a, seq_lp, log_p_q, scores = dual_terms(qa_params, qg_params)
-        s = np.array([t.item() for t in scores])
+        s = scores.values
         log_a_given_q = s[0] - np.log(np.exp(s).sum())
         expected = (log_p_a + seq_lp.item() - log_p_q - log_a_given_q) ** 2
         got = trainer.dual_loss(log_p_a, seq_lp, log_p_q, scores).item()
@@ -293,6 +294,69 @@ class TestOneWalkMatchesTwoWalks:
     def test_ragged_batches(self, small_pairs, lambdas, batch, seed):
         dual = make_small_trainer(small_pairs, *lambdas, seed=seed)
         assert_one_walk_matches_two(dual, batch, use_dual=True)
+
+
+@st.composite
+def contrast_batches(draw, min_size=1):
+    """1-12 positives whose answers and negative answers come from a small
+    drawn pool, so answers repeat and contrast sets differ in length (past
+    8 entries in the larger batches); every positive keeps a non-empty
+    contrast set."""
+    answer = st.lists(st.sampled_from(ANSWER_WORDS), min_size=1, max_size=6)
+    pool = draw(st.lists(answer, min_size=2, max_size=14, unique_by=tuple))
+    question = st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=6)
+    rows = [(draw(question), draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+            for _ in range(draw(st.integers(min_size, 12)))]
+    negative_answers = [neg for *_, neg in rows]
+    assume(all(any(neg != a for neg in negative_answers) for _, a, _ in rows))
+    return text.TrainingBatch(
+        [text.QAPair(q, a, f"p{i}", 1) for i, (q, a, _) in enumerate(rows)],
+        [text.QAPair(q, neg, f"n{i}", 0) for i, (q, _, neg) in enumerate(rows)])
+
+
+def assert_blocks_equal_per_positive(dual, batch):
+    """The batch's losses equal the per-positive oracle's with ``==`` and
+    the Jacobians of its objectives agree to 1e-12, with and without the
+    duality term."""
+    tensors = [t for _, t in dual.parameters]
+    for use_dual in (True, False):
+        record, objectives, *sums = dual._batch_objectives(batch, use_dual)
+        want_objectives, *want_sums = per_positive_objectives(dual, batch, use_dual)
+        for got, want in zip(sums, want_sums):
+            assert got.item() == want.item()
+        assert objectives.values.tolist() == want_objectives.values.tolist()
+        for g, w in zip(ad.backward(objectives, tensors), ad.backward(want_objectives, tensors)):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+        record.clear()
+
+
+class TestBatchBlocksMatchPerPositiveLoop:
+    """The loss layer's batch blocks against the per-positive loop they
+    replaced (``helpers.per_positive_objectives``)."""
+
+    @pytest.mark.parametrize("lambdas", LAMBDAS)
+    @settings(deadline=None, max_examples=10)
+    @given(batch=contrast_batches(), seed=st.integers(0, 50))
+    def test_ragged_batches(self, small_pairs, lambdas, batch, seed):
+        dual = make_small_trainer(small_pairs, *lambdas, seed=seed)
+        assert_blocks_equal_per_positive(dual, batch)
+
+    @pytest.mark.parametrize("lambdas", LAMBDAS)
+    def test_contrast_sets_past_eight_entries(self, small_pairs, lambdas):
+        rng = np.random.default_rng(3)
+        words = lambda pool, n: [str(w) for w in rng.choice(pool, n)]  # noqa: E731
+        answers = [words(ANSWER_WORDS, rng.integers(1, 7)) for _ in range(11)]
+        positives = [text.QAPair(words(QUESTION_WORDS, rng.integers(1, 7)), answers[i % 10],
+                                 f"p{i}", 1) for i in range(12)]
+        negatives = [text.QAPair(p.question_tokens, answers[(i + 3) % 11], f"n{i}", 0)
+                     for i, p in enumerate(positives)]
+        batch = text.TrainingBatch(positives, negatives)
+        dual = make_small_trainer(small_pairs, *lambdas, seed=4)
+        lengths = [1 + len(trainer.contrast_indices(dual._encode(p)[1],
+                                                    [dual._encode(n)[1] for n in negatives]))
+                   for p in positives]
+        assert max(lengths) > 9 and len(set(lengths)) > 1
+        assert_blocks_equal_per_positive(dual, batch)
 
 
 class TestTrainStep:
@@ -445,28 +509,30 @@ class TestNoCyclicGarbage:
 
 
 class TestTapeSize:
-    """Deterministic node counts: a whole GRU pass and each log-softmax are
-    one tape node, which keeps a toy dual step's record small."""
+    """Deterministic node counts: a whole GRU pass, the selection head over
+    every pair of the batch and each loss term's (B,) vector are one tape
+    node each, which keeps a toy dual step's record small."""
 
-    def test_toy_dual_step_records_at_most_4400_nodes(self, tmp_path):
+    def test_toy_dual_step_records_at_most_1900_nodes(self, tmp_path):
         record, objectives, *_ = toy_dual_objectives(tmp_path)
         # The record train_step's backward walk sees: one row per objective.
         assert objectives._record is record and objectives.shape == (2,)
-        assert len(record.nodes) <= 4400
+        assert len(record.nodes) <= 1900
 
     def test_toy_dual_step_tape_holds_no_decode_only_node(self, tmp_path):
         # Decoding runs on arrays, so every primitive is one training uses:
-        # a toy dual step records each kind but ``sum`` (``reduce_sum``,
-        # test support).  Each GRU pass it records is one gru_sequence node
-        # covering a whole block: the QA questions and answers, the QG
-        # answers (two directions each) and the decoder.
+        # a toy dual step records each kind, ``reduce_sum`` as the three
+        # folds of its loss terms.  Each GRU pass it records is one
+        # gru_sequence node covering a whole block: the QA questions and
+        # answers, the QG answers (two directions each) and the decoder.
         record, *_ = toy_dual_objectives(tmp_path)
         kinds = collections.Counter(node.kind for node in record.nodes)
         engine = {"Tensor", "ComputationRecord", "backward", "no_recording", "zeros"}
-        primitives = set(ad.__all__) - engine - {"reduce_sum"}
+        primitives = {"sum" if p == "reduce_sum" else p for p in set(ad.__all__) - engine}
         assert kinds.keys() == primitives
         assert kinds["gru_sequence"] == 7
-        assert len(record.nodes) == 4286
+        assert kinds["sum"] == 3
+        assert len(record.nodes) == 1846
 
 
 class TestNamedParameters:
