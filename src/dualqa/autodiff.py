@@ -16,13 +16,16 @@ gradient to (k, *input) contributions.
 every GRU pass of training and ranking is one of its blocks.  Decoding
 runs on plain arrays through the forward helpers the primitives share:
 ``_gru_run`` (the GRU recurrence), ``_softmax`` and ``_log_softmax``.
-A training step's loss layer works on batch blocks whose rows equal the
-per-pair computations bit for bit: ``matmul_rows`` is ``matmul``'s
-matrix-vector product on each row of a block, ``log_share`` and
-``target_log_prob`` reduce each segment of their input over its own
-length, and ``reduce_sum`` folds in index order.
-Desk-scale on purpose: float64 everywhere, four fused primitives (B
-whole GRU passes ``gru_sequence``; the max-shifted ``log_softmax``;
+A training step's teacher-forced attention and loss layer work on batch
+blocks whose rows equal the per-sequence computations bit for bit:
+``attention_sequence`` steps the sequences of each answer length
+together, ``matmul_rows`` is ``matmul``'s matrix-vector product on each
+row of a block, ``log_share`` and ``target_log_prob`` reduce each
+segment of their input over its own length, and ``reduce_sum`` folds in
+index order.
+Desk-scale on purpose: float64 everywhere, five fused primitives (B
+whole GRU passes ``gru_sequence``; the attention contexts of B whole
+sequences ``attention_sequence``; the max-shifted ``log_softmax``;
 ``log_share``, the log softmax share of each segment's first entry; and
 ``target_log_prob``, the output layer and target log-probabilities of B
 whole sequences in one node), no sparse storage, no higher-order
@@ -47,7 +50,7 @@ __all__ = [
     "row_lookup",
     "gru_sequence",
     "tanh",
-    "softmax_lastdim",
+    "attention_sequence",
     "log_softmax",
     "log_share",
     "target_log_prob",
@@ -376,13 +379,105 @@ def _log_softmax(v):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    v = x.values
-    if v.ndim < 1:
-        raise ValueError("softmax_lastdim: needs at least one dimension")
-    y = _softmax(v)
-    return _emit("softmax_lastdim", (x,), y,
-                 lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+def attention_sequence(S: Tensor, H: Tensor, W_s: Tensor, W_e: Tensor, W_h: Tensor,
+                       v: Tensor, state_rows, spans) -> Tensor:
+    """Teacher-forced additive attention (Bahdanau et al. 2015) of N
+    sequences as one node.  Sequence b reads its decoder states from the
+    rows ``state_rows[b]`` of ``S``, in token order, and attends over the
+    rows ``spans[b] = (start, end)`` of ``H``; duplicate spans share rows.
+    At each token, with s its state and c the previous context (zero at
+    the first token), weights alpha = softmax(tanh(H_b W_e + s W_s + c W_h) v)
+    give the context alpha H_b.  Returns the (sum of lengths, width of H)
+    contexts, sequence-major in token order.
+
+    Sequences are grouped by answer length and stepped together, longest
+    question first, so the sequences still live at a token are a prefix of
+    their group.  Every product keeps a leading axis of sequences, so each
+    is the BLAS call of the one-sequence vector product and each row equals
+    it bit for bit; no group is padded, as that would change the terms of
+    each sum.  The rule runs backpropagation through the context recurrence
+    over (channels, sequences, ...) blocks and forms each weight's gradient
+    as one product over all steps."""
+    inputs = (S, H, W_s, W_e, W_h, v)
+    Sv, Hv, W_s, W_e, W_h, v = [t.values for t in inputs]
+    rows = [np.asarray(r, dtype=np.intp) for r in state_rows]
+    spans = [(int(a), int(e)) for a, e in spans]
+    n_h, n_a = Hv.shape[-1], v.shape[0]
+    if (Sv.ndim != 2 or Hv.ndim != 2 or W_s.shape != (Sv.shape[1], n_a) or v.ndim != 1
+            or W_e.shape != (n_h, n_a) or W_h.shape != (n_h, n_a)):
+        raise ValueError("attention_sequence: incompatible shapes "
+                         f"{[t.shape for t in inputs]}")
+    if not rows or len(rows) != len(spans):
+        raise ValueError(f"attention_sequence: {len(rows)} state row lists for "
+                         f"{len(spans)} spans")
+    for r, (a, e) in zip(rows, spans):
+        if not r.size or r.min() < 0 or r.max() >= Sv.shape[0] or not 0 <= a < e <= Hv.shape[0]:
+            raise IndexError(f"attention_sequence: state rows or span ({a}, {e}) out of "
+                             f"range for {Sv.shape[0]} states and {Hv.shape[0]} answer rows")
+    lengths = np.array([r.size for r in rows])
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty((int(lengths.sum()), n_h))
+    groups: dict[int, list[int]] = {}
+    for b, (a, e) in enumerate(spans):
+        groups.setdefault(e - a, []).append(b)
+    # U holds every step's tanh rows, each group's steps one after another.
+    U = np.empty((int(sum(lengths[g].sum() * L for L, g in groups.items())), n_a))
+    plan, offset = [], 0
+    for L, members in groups.items():
+        order = sorted(members, key=lambda b: -lengths[b])
+        T, n = lengths[order[0]], len(order)
+        H_rows = np.array([spans[b][0] for b in order])[:, None] + np.arange(L)
+        Hg = Hv[H_rows]
+        keys = np.matmul(Hg, W_e)
+        live = (lengths[order][None, :] > np.arange(T)[:, None]).sum(axis=1)
+        s_at, o_at = np.zeros((2, n, T), dtype=np.intp)  # state and output rows
+        for i, b in enumerate(order):
+            s_at[i, :lengths[b]] = rows[b]
+            o_at[i, :lengths[b]] = np.arange(starts[b], starts[b] + lengths[b])
+        steps = []
+        context = np.zeros((n, n_h))
+        for t in range(T):
+            m = live[t]
+            proj = (keys[:m] + np.matmul(Sv[s_at[:m, t]][:, None, :], W_s)
+                    + np.matmul(context[:m, None, :], W_h))
+            u = np.tanh(proj, out=U[offset:offset + m * L].reshape(m, L, n_a))
+            alpha = _softmax(np.matmul(u, v))
+            context = np.matmul(alpha[:, None, :], Hg[:m])[:, 0]
+            out[o_at[:m, t]] = context
+            steps.append((m, o_at[:m, t], offset, alpha, u))
+            offset += m * L
+        plan.append((H_rows.reshape(-1), Hg, steps))
+
+    def vjp(g):
+        k = g.shape[0]
+        all_rows = np.concatenate(rows)
+        history = np.zeros_like(out)  # each row's previous context
+        history[1:] = out[:-1]
+        history[starts] = 0.0
+        dS, dH = np.zeros((k,) + Sv.shape), np.zeros((k,) + Hv.shape)
+        dA = np.empty((k, out.shape[0], n_a))  # of each row's s W_s and c W_h
+        d_scores = np.empty((k, U.shape[0]))
+        d_We = np.zeros((k, n_h, n_a))
+        for H_rows, Hg, steps in plan:
+            n, L = Hg.shape[:2]
+            d_keys, dHg = np.zeros((k, n, L, n_a)), np.zeros((k, n, L, n_h))
+            d_ctx_next = np.zeros((k, n, n_h))
+            for m, o_at, offset, alpha, u in reversed(steps):
+                d_ctx = g[:, o_at] + d_ctx_next[:, :m]
+                dHg[:, :m] += alpha[:, :, None] * d_ctx[:, :, None, :]
+                d_alpha = np.matmul(Hg[:m], d_ctx[..., None])[..., 0]
+                d_sc = alpha * (d_alpha - (d_alpha * alpha).sum(axis=-1, keepdims=True))
+                d_scores[:, offset:offset + m * L] = d_sc.reshape(k, -1)
+                d_proj = d_sc[..., None] * v * (1.0 - u * u)
+                d_keys[:, :m] += d_proj
+                d_a = dA[:, o_at] = d_proj.sum(axis=2)
+                d_ctx_next[:, :m] = d_a @ W_h.T
+            d_We += Hg.reshape(-1, n_h).T @ d_keys.reshape(k, -1, n_a)
+            dHg += d_keys @ W_e.T
+            np.add.at(dH, (slice(None), H_rows), dHg.reshape(k, -1, n_h))
+        np.add.at(dS, (slice(None), all_rows), dA @ W_s.T)
+        return (dS, dH, Sv[all_rows].T @ dA, d_We, history.T @ dA, d_scores @ U)
+    return _emit("attention_sequence", inputs, out, vjp)
 
 
 def _segments(lengths, total, kind):

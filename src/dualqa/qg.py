@@ -5,9 +5,11 @@ attention-driven UNK replacement.
 The decoder state width equals the encoder's concatenated output (twice
 the per-direction hidden size) so the encoder summary seeds the decoder
 directly.  Cumulative log-probability scores beams; no length
-normalization.  Teacher forcing runs on the tape; decoding runs on plain
-arrays, unrecorded, and advances every live beam at once: their states
-and attention histories are the rows of one block.
+normalization.  Teacher forcing runs on the tape as a few batch-wide
+nodes: one GRU pass per direction and for the decoder, one
+``attention_sequence`` for every question's attention, one output layer.
+Decoding runs on plain arrays, unrecorded, and advances every live beam
+at once: their states and attention histories are the rows of one block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "QGParams",
     "BeamHypothesis",
     "encode_answer",
-    "attention_step",
     "decode_step",
     "sequence_log_prob",
     "greedy_decode",
@@ -67,25 +68,6 @@ def encode_answer(a_ids: list[int], params: QGParams):
     return ad.concat([fwd_states, ad.row_lookup(bwd_states, range(last, -1, -1))]), s0
 
 
-def attention_step(s_t: ad.Tensor, H: ad.Tensor, keys: ad.Tensor, history: ad.Tensor,
-                   params: QGParams):
-    """Additive attention over encoder rows, also conditioned on the
-    previous step's attention-weighted sum (zero at the first step).
-    ``keys`` is ``H @ att_encoder``, fixed for the whole answer, so
-    callers compute it once per answer (Bahdanau et al. 2015, appendix A).
-
-    Returns (weights over positions, context vector).
-    """
-    projected = ad.add(
-        ad.add(keys, ad.matmul(s_t, params.att_state)),
-        ad.matmul(history, params.att_history),
-    )
-    scores = ad.matmul(ad.tanh(projected), params.att_vector)
-    alpha = ad.softmax_lastdim(scores)
-    context = ad.matmul(alpha, H)
-    return alpha, context
-
-
 def decode_step(prev_ids, state: np.ndarray, H: np.ndarray, keys: np.ndarray,
                 history: np.ndarray, params: QGParams):
     """Advance B decoders one step on arrays, unrecorded, from B previous
@@ -94,8 +76,8 @@ def decode_step(prev_ids, state: np.ndarray, H: np.ndarray, keys: np.ndarray,
 
     Returns the (B, V) log-probabilities over the question vocabulary, the
     new states, the (B, T) attention weights and the (B, 2h) contexts, the
-    next step's histories: ``attention_step`` and the output layer of
-    ``target_log_prob`` on every row at once.  The log-probabilities come
+    next step's histories: one step of ``attention_sequence`` and the output
+    layer of ``target_log_prob`` on every row at once.  The log-probabilities come
     from one max-shifted log-softmax, so they are finite even where a
     probability underflows.
     """
@@ -116,15 +98,18 @@ def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | lis
     The gold previous token, not a prediction, feeds each step, and the
     attention context never feeds the recurrence: the decoder GRU runs as
     one ``gru_sequence`` over the embedded ``[SOS] + targets[:-1]`` from
-    s0, the loop runs only attention, and one ``target_log_prob`` scores
-    every [state; context] row against its target at once.
+    s0, one ``attention_sequence`` gives every step's context, and one
+    ``target_log_prob`` scores every [state; context] row against its
+    target at once.
 
     ``q_ids`` and ``a_ids`` may also be lists of B id lists, B pairs: the
     result is then the (B,) vector of their log-probabilities, each equal
     to the single pair's bit for bit.  The distinct answers are encoded as
-    one block, the decoder GRU runs over every question as one block from
-    the rows of the s0 block, and every pair's rows are one segment of the
-    one ``target_log_prob``.
+    one block whose rows are gathered into one answer-row tensor, the
+    decoder GRU runs over every question as one block from the rows of the
+    s0 block, one ``attention_sequence`` attends for every pair over its
+    answer's span of rows, and every pair's rows are one segment of the one
+    ``target_log_prob``.
     """
     single = not q_ids or isinstance(q_ids[0], (int, np.integer))
     questions, answers = ([q_ids], [a_ids]) if single else (q_ids, a_ids)
@@ -135,24 +120,23 @@ def sequence_log_prob(q_ids: list[int] | list[list[int]], a_ids: list[int] | lis
     fwd_states, bwd_states, last = bigru_states(
         list(distinct), params.answer_embeddings, params.encoder_fwd, params.encoder_bwd)
     D = len(distinct)
-    Hs = [ad.concat([ad.row_lookup(fwd_states, range(i, len(a) * D, D)),
-                     ad.row_lookup(bwd_states, range(last[i], -1, -D))])
-          for i, a in enumerate(distinct)]
+    H = ad.concat([
+        ad.row_lookup(fwd_states, [r for i, a in enumerate(distinct)
+                                   for r in range(i, len(a) * D, D)]),
+        ad.row_lookup(bwd_states, [r for i in range(D) for r in range(last[i], -1, -D)])])
+    sizes = [len(a) for a in distinct]
+    spans = [(e - n, e) for n, e in zip(sizes, np.cumsum(sizes).tolist())]
     s0 = ad.concat([ad.row_lookup(fwd_states, last), ad.row_lookup(bwd_states, last)])
     targets = [[int(t) for t in q] + [EOS_ID] for q in questions]
     B = len(targets)
     S = ad.gru_sequence(
         ad.row_lookup(params.question_embeddings, time_major([[SOS_ID] + t[:-1] for t in targets])),
         ad.row_lookup(s0, index), *params.decoder.weights)
-    state_rows, contexts = [], []
-    for b, (tokens, H) in enumerate(zip(targets, (Hs[i] for i in index))):
-        keys = ad.matmul(H, params.att_encoder)
-        history = ad.zeros(H.shape[1])
-        for t in range(len(tokens)):
-            history = attention_step(ad.row_lookup(S, t * B + b), H, keys, history, params)[1]
-            contexts.append(history)
-        state_rows += range(b, len(tokens) * B, B)
-    rows = ad.concat([ad.row_lookup(S, state_rows), ad.concat(contexts, axis="rows")])
+    state_rows = [range(b, len(tokens) * B, B) for b, tokens in enumerate(targets)]
+    contexts = ad.attention_sequence(
+        S, H, params.att_state, params.att_encoder, params.att_history, params.att_vector,
+        state_rows, [spans[i] for i in index])
+    rows = ad.concat([ad.row_lookup(S, [r for rs in state_rows for r in rs]), contexts])
     return ad.target_log_prob(rows, params.output_projection, [t for q in targets for t in q],
                               None if single else [len(q) for q in targets])
 

@@ -7,11 +7,13 @@ positives, and the squared gaps between the two log-factorizations of
 P(q, a), one per positive — and the objectives as one weight matrix
 times those sums: the selection row weights the gap by lambda_a, the
 generation row by lambda_q.  Each sum folds a (B,) vector of per-positive
-terms in index order, and every pair the selection model scores in a
-step is a row of one block, so the losses equal those of one node per
-pair and term bit for bit.  One reverse walk gives one gradient channel
-per row; each model's tensors take their own row's channel, the shared
-embeddings the sum of both, and AdaDelta applies the update.  A numpy
+terms in index order, every pair the selection model scores in a step is
+a row of one block, and the generator scores every positive with a few
+batch-wide nodes (``qg.sequence_log_prob``), so the losses equal those
+of one node per pair and term bit for bit.  One reverse walk gives one
+gradient channel per row; each model's tensors take their own row's
+channel, the shared embeddings the sum of both, and AdaDelta applies the
+update.  A numpy
 overflow or invalid operation during a step aborts it with a
 ``NumericalError`` naming the step and its phase: a loss term, the
 backward pass or the AdaDelta update.

@@ -201,6 +201,28 @@ def per_token_encode_answer(a_ids, qg_params):
     return H, ad.concat([fwd[-1], bwd[0]])
 
 
+def softmax_lastdim(x):
+    """Softmax over the last axis as a tape primitive of its own: the
+    weights of the per-token attention oracle."""
+    y = ad._softmax(x.values)
+    return ad._emit("softmax_lastdim", (x,), y,
+                    lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+
+
+def attention_step(s_t, H, keys, history, qg_params):
+    """One teacher-forced attention step on the tape, node by node: additive
+    attention over the rows of ``H`` (``keys`` is ``H @ att_encoder``), also
+    conditioned on the previous step's context ``history`` (zero at the
+    first step).  Returns (weights over positions, context vector)."""
+    projected = ad.add(
+        ad.add(keys, ad.matmul(s_t, qg_params.att_state)),
+        ad.matmul(history, qg_params.att_history),
+    )
+    scores = ad.matmul(ad.tanh(projected), qg_params.att_vector)
+    alpha = softmax_lastdim(scores)
+    return alpha, ad.matmul(alpha, H)
+
+
 def per_token_sequence_log_prob(q_ids, a_ids, qg_params):
     """Teacher-forced log P(q | a) from per-token encoders and one
     ``gru_update`` then ``attention_step`` per target, the [state; context]
@@ -212,7 +234,7 @@ def per_token_sequence_log_prob(q_ids, a_ids, qg_params):
     for prev in [text.SOS_ID] + targets[:-1]:
         state = gru_update(ad.row_lookup(qg_params.question_embeddings, [prev]), state,
                            *qg_params.decoder.weights)
-        _, history = qg.attention_step(state, H, k, history, qg_params)
+        _, history = attention_step(state, H, k, history, qg_params)
         rows.append(ad.concat([state, history]))
     return ad.target_log_prob(ad.concat(rows, axis="rows"), qg_params.output_projection,
                               targets)

@@ -14,7 +14,7 @@ from dualqa import autodiff as ad
 from dualqa.qa import GRUCellParams, glorot_uniform, gru_step
 
 from helpers import (GradientCheckError, grad_check, gru_update, masked_sigmoid,
-                     toy_dual_objectives)
+                     softmax_lastdim, toy_dual_objectives)
 
 
 def _rand(rng, shape, scale=0.8):
@@ -23,7 +23,7 @@ def _rand(rng, shape, scale=0.8):
 
 class TestForwardAnchors:
     def test_softmax_uniform_logits(self):
-        out = ad.softmax_lastdim(ad.Tensor([1.0, 1.0, 1.0, 1.0]))
+        out = softmax_lastdim(ad.Tensor([1.0, 1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out.values, [0.25, 0.25, 0.25, 0.25], rtol=0, atol=1e-15)
         assert ad.tanh(ad.Tensor([0.0])).values[0] == 0.0
 
@@ -92,6 +92,17 @@ class TestForwardErrors:
         with pytest.raises(IndexError, match="target 4 out of range for 4 classes"):
             ad.target_log_prob(X, W, [0, 4])
 
+    def test_attention_sequence_checks_shapes_rows_and_spans(self):
+        S, H, W = ad.Tensor(np.ones((4, 3))), ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2)))
+        v = ad.Tensor(np.ones(2))
+        with pytest.raises(ValueError, match="attention_sequence: incompatible shapes"):
+            ad.attention_sequence(S, H, W, W, W, ad.Tensor(np.ones(3)), [[0]], [(0, 2)])
+        with pytest.raises(ValueError, match="2 state row lists for 1 spans"):
+            ad.attention_sequence(S, H, W, W, W, v, [[0], [1]], [(0, 2)])
+        for rows, span in (([4], (0, 2)), ([], (0, 2)), ([0], (1, 3)), ([0], (1, 1))):
+            with pytest.raises(IndexError, match="attention_sequence: state rows or span"):
+                ad.attention_sequence(S, H, W, W, W, v, [rows], [span])
+
     def test_tensor_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             ad.Tensor([1.0, float("nan")])
@@ -101,17 +112,17 @@ class TestSoftmaxProperties:
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_normalized_and_nonnegative(self, logits):
-        out = ad.softmax_lastdim(ad.Tensor(logits)).values
+        out = softmax_lastdim(ad.Tensor(logits)).values
         assert np.all(out >= 0.0)
         assert abs(out.sum() - 1.0) <= 1e-9
 
     def test_2d_rows_each_normalized(self):
         rng = np.random.default_rng(0)
-        out = ad.softmax_lastdim(ad.Tensor(rng.normal(size=(5, 7)) * 30)).values
+        out = softmax_lastdim(ad.Tensor(rng.normal(size=(5, 7)) * 30)).values
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(5), rtol=0, atol=1e-9)
 
     def test_large_logits_stable(self):
-        out = ad.softmax_lastdim(ad.Tensor([700.0, 710.0])).values
+        out = softmax_lastdim(ad.Tensor([700.0, 710.0])).values
         assert np.all(np.isfinite(out)) and abs(out.sum() - 1.0) <= 1e-9
 
     @settings(deadline=None, max_examples=40)
@@ -119,7 +130,7 @@ class TestSoftmaxProperties:
                       elements=st.floats(-50, 50)))
     def test_log_softmax_is_log_of_softmax(self, logits):
         got = ad.log_softmax(ad.Tensor(logits)).values
-        np.testing.assert_allclose(np.exp(got), ad.softmax_lastdim(ad.Tensor(logits)).values,
+        np.testing.assert_allclose(np.exp(got), softmax_lastdim(ad.Tensor(logits)).values,
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -282,7 +293,17 @@ PRIMITIVE_CASES = {
                          lambda p: ad.concat(p)),
     "tanh": (lambda rng: [_rand(rng, 7)], lambda p: ad.tanh(p[0])),
     "softmax": (lambda rng: [_rand(rng, (3, 6))],
-                lambda p: ad.softmax_lastdim(p[0])),
+                lambda p: softmax_lastdim(p[0])),
+    # Two sequences over one answer (one group) and three over two answer
+    # lengths, one answer shared; questions of unequal lengths.
+    "attention_sequence": (lambda rng: [_rand(rng, (6, 4)), _rand(rng, (3, 4))]
+                           + [_rand(rng, (4, 3)) for _ in range(3)] + [_rand(rng, 3)],
+                           lambda p: ad.attention_sequence(*p, [[0, 2, 4], [1, 3]],
+                                                           [(0, 3), (0, 3)])),
+    "attention_sequence_groups": (lambda rng: [_rand(rng, (7, 4)), _rand(rng, (5, 4))]
+                                  + [_rand(rng, (4, 3)) for _ in range(3)] + [_rand(rng, 3)],
+                                  lambda p: ad.attention_sequence(
+                                      *p, [[0, 3], [1, 4, 6], [2]], [(0, 2), (2, 5), (0, 2)])),
     "log_softmax": (lambda rng: [_rand(rng, (3, 6))],
                     lambda p: ad.log_softmax(p[0])),
     # Segments of 2, 9 and 1 entries: the longest past numpy's 8-term
@@ -755,7 +776,7 @@ class TestOutputsFinite:
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
     def test_chained_ops_stay_finite(self, raw):
         x = ad.Tensor(raw)
-        out = ad.softmax_lastdim(ad.tanh(ad.square(x)))
+        out = softmax_lastdim(ad.tanh(ad.square(x)))
         assert np.all(np.isfinite(out.values))
         # Logits up to 900 apart: softmax underflows, log_softmax does not.
         out2 = ad.log_softmax(ad.square(x))

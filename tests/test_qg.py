@@ -8,17 +8,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualqa import autodiff as ad
 from dualqa import qa, qg, text, trainer
 from dualqa.text import EOS_ID, UNK_ID, build_vocab
 
-from helpers import (MID_DIMS, TINY_VOCAB, TOY_DIMS, argmax_decode, decode_inputs, grad_check,
-                     keys, make_small_trainer, make_tiny_models, model_tensors, per_beam_search,
-                     per_token_encode_answer, per_token_sequence_log_prob, small_corpus,
-                     toy_dual_objectives, zero_all)
+from helpers import (MID_DIMS, TINY_VOCAB, TOY_DIMS, argmax_decode, attention_step,
+                     decode_inputs, grad_check, keys, make_small_trainer, make_tiny_models,
+                     model_tensors, per_beam_search, per_token_encode_answer,
+                     per_token_sequence_log_prob, small_corpus, toy_dual_objectives, zero_all)
 
 Q_IDS = [4, 7]
 A_IDS = [5, 8, 10]
@@ -98,15 +98,27 @@ class TestEncodeAnswer:
             qg.encode_answer([], models[1])
 
 
+def first_context(s_t, H, qg_params):
+    """The program's context for the first token, of state ``s_t``, over
+    every row of ``H``: ``attention_sequence`` on one one-token sequence."""
+    return ad.attention_sequence(
+        ad.concat([s_t], axis="rows"), H, qg_params.att_state, qg_params.att_encoder,
+        qg_params.att_history, qg_params.att_vector, [[0]], [(0, H.shape[0])]).values[0]
+
+
 class TestAttention:
+    """The per-token attention step of the tests' oracle, and the program's
+    first-token context, which must equal the step's bit for bit."""
+
     def test_weights_normalized_and_nonnegative(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer([5, 8, 10, 6], qg_params)
         history = ad.zeros(H.shape[1])
-        alpha, context = qg.attention_step(s0, H, keys(H, qg_params), history, qg_params)
+        alpha, context = attention_step(s0, H, keys(H, qg_params), history, qg_params)
         assert np.all(alpha.values >= 0)
         assert alpha.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert context.shape == (H.shape[1],)
+        assert np.array_equal(first_context(s0, H, qg_params), context.values)
 
     def test_identical_rows_and_zero_history_give_uniform(self, models):
         _, qg_params = models
@@ -114,16 +126,72 @@ class TestAttention:
         rng = np.random.default_rng(1)
         row = rng.normal(size=width)
         H = ad.Tensor(np.tile(row, (4, 1)))
-        alpha, _ = qg.attention_step(
-            ad.Tensor(rng.normal(size=width)), H, keys(H, qg_params), ad.zeros(width), qg_params)
+        s_t = ad.Tensor(rng.normal(size=width))
+        alpha, context = attention_step(s_t, H, keys(H, qg_params), ad.zeros(width), qg_params)
         np.testing.assert_allclose(alpha.values, np.full(4, 0.25), atol=1e-12)
+        assert np.array_equal(first_context(s_t, H, qg_params), context.values)
+        np.testing.assert_allclose(context.values, row, atol=1e-12)
 
     def test_context_is_weighted_average_of_rows(self, models):
         _, qg_params = models
         H, s0 = qg.encode_answer([5, 8], qg_params)
-        alpha, context = qg.attention_step(s0, H, keys(H, qg_params), ad.zeros(H.shape[1]),
-                                           qg_params)
+        alpha, context = attention_step(s0, H, keys(H, qg_params), ad.zeros(H.shape[1]),
+                                        qg_params)
         np.testing.assert_allclose(context.values, alpha.values @ H.values, atol=1e-12)
+        assert np.array_equal(first_context(s0, H, qg_params), context.values)
+
+
+ANSWER_IDS = st.lists(st.integers(4, TINY_VOCAB - 1), min_size=1, max_size=7)
+
+
+@st.composite
+def batches(draw):
+    """(model seed, questions, answers) of 1-12 pairs: questions of unequal
+    lengths, answers drawn from a pool of up to four, so that a batch holds
+    several answer lengths and repeated answers."""
+    pool = draw(st.lists(ANSWER_IDS, min_size=1, max_size=4))
+    B = draw(st.integers(1, 12))
+    answers = [draw(st.sampled_from(pool)) for _ in range(B)]
+    questions = draw(st.lists(st.lists(st.integers(4, TINY_VOCAB - 1), min_size=1, max_size=9),
+                              min_size=B, max_size=B))
+    return draw(st.integers(0, 10_000)), questions, answers
+
+
+class TestAttentionSequenceMatchesPerTokenOracle:
+    """A batch's teacher-forced attention is one ``attention_sequence``
+    node; each pair's log-probability equals the per-token oracle's and its
+    own call's bit for bit, and the gradients agree with the oracle's."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(batches())
+    @example((3, [[4, 5, 6]], [[7, 8]]))
+    @example((5, [[4, 5], [6, 7, 8, 9], [10], [11, 12, 13], [4] * 9],
+              [[5, 6], [7, 8, 9], [5, 6], [5, 6], [7, 8, 9]]))
+    def test_batch_equals_oracle(self, batch):
+        seed, questions, answers = batch
+        models = make_tiny_models(seed=seed)
+        qg_params, params = models[1], model_tensors(models, "qg")
+        with ad.ComputationRecord() as record:
+            got = qg.sequence_log_prob(questions, answers, qg_params)
+            probes = [ad.Tensor(np.random.default_rng(seed + i).normal(size=len(questions)))
+                      for i in range(2)]
+            one = ad.reduce_sum(got)
+            two = ad.concat([ad.reduce_sum(ad.elementwise_mul(got, p)) for p in probes],
+                            axis="rows")
+        assert collections.Counter(n.kind for n in record.nodes)["attention_sequence"] == 1
+        oracle_grads = []
+        for b, (q_ids, a_ids) in enumerate(zip(questions, answers)):
+            with ad.ComputationRecord():
+                want = per_token_sequence_log_prob(q_ids, a_ids, qg_params)
+            assert got.values[b] == want.item()
+            assert got.values[b] == qg.sequence_log_prob(q_ids, a_ids, qg_params).item()
+            oracle_grads.append(ad.backward(want, params))
+        for jac, *grads in zip(ad.backward(one, params), *oracle_grads):
+            np.testing.assert_allclose(jac, sum(grads), rtol=1e-12, atol=1e-12)
+        for jac, *grads in zip(ad.backward(two, params), *oracle_grads):
+            for row, p in zip(jac, probes):
+                want = sum(w * g for w, g in zip(p.values, grads))
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
 
 
 class TestDecodeStep:
@@ -187,8 +255,8 @@ class TestSequenceLogProb:
             for target in q_ids + [EOS_ID]:
                 state = qa.gru_step(qg_params.decoder,
                                     qg_params.question_embeddings.values[[prev]], state)
-                _, history = qg.attention_step(ad.Tensor(state[0]), H, keys(H, qg_params),
-                                               history, qg_params)
+                _, history = attention_step(ad.Tensor(state[0]), H, keys(H, qg_params),
+                                            history, qg_params)
                 logits = qg_params.output_projection.values @ np.concatenate(
                     [state[0], history.values])
                 shift = logits.max()
@@ -270,11 +338,12 @@ class TestTeacherForcingMatchesPerTokenDecoding:
         assert checked
 
     def test_toy_dual_step_records_one_output_node_per_positive(self, tmp_path):
-        # One output node scores every positive of the batch; the QA side's
-        # pair losses are one log-softmax and its 16 conditionals one
-        # log_share.
+        # One attention node and one output node serve every positive of the
+        # batch; the QA side's pair losses are one log-softmax and its 16
+        # conditionals one log_share.
         record, *_ = toy_dual_objectives(tmp_path)
         kinds = collections.Counter(node.kind for node in record.nodes)
+        assert kinds["attention_sequence"] == 1
         assert kinds["target_log_prob"] == 1
         assert kinds["log_softmax"] == 1
         assert kinds["log_share"] == 1
@@ -353,6 +422,7 @@ class TestSequenceGRUEqualsPerTokenChain:
             qg.sequence_log_prob(Q_IDS, A_IDS, models[1])
         kinds = collections.Counter(node.kind for node in rec.nodes)
         assert kinds["gru_sequence"] == 3
+        assert kinds["attention_sequence"] == 1
 
 
 class TestBeamSearch:
